@@ -1,13 +1,14 @@
 // Simulator-core throughput: simulated instructions per wall-clock
 // second (MIPS), per enforcement policy, as a THREE-WAY engine oracle:
-// interpretive vs predecoded (per-instruction table dispatch) vs
-// superblock (block-granular dispatch) -- plus a fleet sweep driving
+// interpretive vs superblock pinned per-step (per-instruction dispatch
+// from the decoded table, forced by a plain sim::Monitor) vs superblock
+// (block-granular dispatch) -- plus a fleet sweep driving
 // many devices from a thread pool. This seeds the bench trajectory for
 // the hot loop: every future perf PR must beat the table this emits
 // (BENCH_sim_throughput.json).
 //
 // Correctness gates (the bench FAILS on any violation):
-//   - per policy, all three engines retire the same instruction count
+//   - per policy, all three arms retire the same instruction count
 //     over the same simulated cycles and their retired-instruction
 //     traces (from, to, fallthrough per step) have identical
 //     fingerprints,
@@ -15,10 +16,11 @@
 //     identical (same seq/mac_ok/seq_ok/path_ok/edges/dropped),
 //   - the superblock timed run actually dispatched blocks (the fast
 //     path engaged; a silently-degraded run would gate green on
-//     identity while measuring nothing).
+//     identity while measuring nothing), and the other two arms did
+//     not.
 // Wall-clock numbers are reported but not gated (host-dependent); the
 // CI regression gate (scripts/check_bench_regression.py) compares the
-// emitted speedups against the committed baseline instead.
+// emitted superblock speedups against the committed baseline instead.
 //
 // Usage: bench_sim_throughput [--smoke]   (--smoke: CI-sized workload)
 #include <chrono>
@@ -77,8 +79,8 @@ mix:
 
 // FNV-1a fingerprint over every (from, to, fallthrough) step tuple.
 // Deliberately a wants_step() monitor: attaching it pins the machine
-// to per-instruction execution under every engine, so the traced runs
-// compare the engines' architectural effects, not their dispatch.
+// to per-instruction execution in every arm, so the traced runs
+// compare the arms' architectural effects, not their dispatch.
 class TraceFingerprint : public sim::Monitor {
  public:
   void on_step(uint16_t from_pc, uint16_t to_pc, uint16_t fallthrough) override {
@@ -103,9 +105,21 @@ constexpr EnforcementPolicy kPolicies[] = {
     EnforcementPolicy::kNone, EnforcementPolicy::kCasu,
     EnforcementPolicy::kCfaBaseline, EnforcementPolicy::kEilidHw};
 
-constexpr ExecutionEngine kEngines[] = {ExecutionEngine::kInterpretive,
-                                        ExecutionEngine::kPredecoded,
-                                        ExecutionEngine::kSuperblock};
+// The oracle's three arms: the interpretive reference, superblock
+// pinned to per-instruction dispatch from the decoded table, and
+// superblock.
+struct Arm {
+  ExecutionEngine engine;
+  bool per_step;  // attach step_pin
+  const char* name;
+};
+constexpr Arm kArms[] = {
+    {ExecutionEngine::kInterpretive, false, "interpretive"},
+    {ExecutionEngine::kSuperblock, true, "superblock-per-step"},
+    {ExecutionEngine::kSuperblock, false, "superblock"},
+};
+
+sim::Monitor step_pin;  // wants_step(): pins per-instruction dispatch
 
 struct ModeRun {
   double wall_ms = 0;
@@ -129,21 +143,23 @@ std::string verdict_fingerprint(const VerifierService::AttestResult& r) {
   return buf;
 }
 
-// One (policy, engine) measurement: a timed run without tracing, then
-// a short traced run for the cross-engine fingerprint gate.
+// One (policy, arm) measurement: a timed run without tracing, then a
+// short traced run for the cross-arm fingerprint gate.
 ModeRun run_mode(Fleet& fleet, std::shared_ptr<const core::BuildResult> build,
-                 EnforcementPolicy policy, ExecutionEngine engine,
+                 EnforcementPolicy policy, const Arm& arm,
                  uint64_t timed_cycles, uint64_t traced_cycles, int* serial) {
-  auto device_id = [&](const char* kind) {
-    return std::string(enforcement_policy_name(policy)) + "-" + kind + "-" +
-           std::string(execution_engine_name(engine)) + "-" +
-           std::to_string((*serial)++);
+  auto deploy = [&](const char* kind) -> DeviceSession& {
+    DeviceSession& dev = fleet.deploy(
+        std::string(enforcement_policy_name(policy)) + "-" + kind + "-" +
+            arm.name + "-" + std::to_string((*serial)++),
+        build, policy,
+        {.cfa = {.log_capacity = 1 << 12}, .engine = arm.engine});
+    if (arm.per_step) dev.machine().add_monitor(&step_pin);
+    return dev;
   };
   ModeRun out;
   {
-    DeviceSession& dev =
-        fleet.deploy(device_id("timed"), build, policy,
-                     {.cfa = {.log_capacity = 1 << 12}, .engine = engine});
+    DeviceSession& dev = deploy("timed");
     auto t0 = clock_type::now();
     dev.run(timed_cycles);
     out.wall_ms = ms_since(t0);
@@ -155,9 +171,7 @@ ModeRun run_mode(Fleet& fleet, std::shared_ptr<const core::BuildResult> build,
     }
   }
   {
-    DeviceSession& dev =
-        fleet.deploy(device_id("traced"), build, policy,
-                     {.cfa = {.log_capacity = 1 << 12}, .engine = engine});
+    DeviceSession& dev = deploy("traced");
     TraceFingerprint trace;
     dev.machine().add_monitor(&trace);
     dev.run(traced_cycles);
@@ -184,10 +198,9 @@ int main(int argc, char** argv) {
   std::printf("Simulator core throughput (%s: %llu cycles/run)\n\n",
               smoke ? "smoke" : "full",
               static_cast<unsigned long long>(timed_cycles));
-  std::printf("%-13s | %-11s | %-11s | %-11s | %-8s | %-8s | %-6s | %s\n",
-              "policy", "interp MIPS", "predec MIPS", "superb MIPS", "pre x",
-              "blk x", "trace", "verdict");
-  for (int i = 0; i < 92; ++i) std::putchar('-');
+  std::printf("%-13s | %-11s | %-11s | %-8s | %-6s | %s\n", "policy",
+              "interp MIPS", "superb MIPS", "blk x", "trace", "verdict");
+  for (int i = 0; i < 69; ++i) std::putchar('-');
   std::putchar('\n');
 
   bool ok = true;
@@ -197,16 +210,16 @@ int main(int argc, char** argv) {
     auto build = policy == EnforcementPolicy::kEilidHw ? instrumented : plain;
     ModeRun runs[3];
     for (size_t e = 0; e < 3; ++e) {
-      runs[e] = run_mode(fleet, build, policy, kEngines[e], timed_cycles,
+      runs[e] = run_mode(fleet, build, policy, kArms[e], timed_cycles,
                          traced_cycles, &serial);
     }
     const ModeRun& interp = runs[0];
-    const ModeRun& predec = runs[1];
+    const ModeRun& pinned = runs[1];
     const ModeRun& superb = runs[2];
 
     bool trace_ok = true;
     bool verdict_ok = true;
-    for (const ModeRun& r : {predec, superb}) {
+    for (const ModeRun& r : {pinned, superb}) {
       trace_ok = trace_ok && r.trace_hash == interp.trace_hash &&
                  r.trace_steps == interp.trace_steps &&
                  r.instructions == interp.instructions &&
@@ -214,41 +227,37 @@ int main(int argc, char** argv) {
       verdict_ok = verdict_ok && r.verdict == interp.verdict;
     }
     // The superblock run must actually have engaged block dispatch
-    // (and the other two engines must not have).
+    // (and the other two arms must not have).
     const bool engaged_ok =
-        superb.blocks > 0 && interp.blocks == 0 && predec.blocks == 0;
+        superb.blocks > 0 && interp.blocks == 0 && pinned.blocks == 0;
     ok = ok && trace_ok && verdict_ok && engaged_ok;
     if (!engaged_ok) {
       std::printf("  !! %s: block dispatch engagement wrong "
-                  "(interp %llu, predec %llu, superblock %llu blocks)\n",
+                  "(interp %llu, per-step %llu, superblock %llu blocks)\n",
                   std::string(enforcement_policy_name(policy)).c_str(),
                   static_cast<unsigned long long>(interp.blocks),
-                  static_cast<unsigned long long>(predec.blocks),
+                  static_cast<unsigned long long>(pinned.blocks),
                   static_cast<unsigned long long>(superb.blocks));
     }
 
-    const double pre_speedup =
-        interp.mips() > 0 ? predec.mips() / interp.mips() : 0.0;
     const double blk_speedup =
         interp.mips() > 0 ? superb.mips() / interp.mips() : 0.0;
-    std::printf("%-13s | %11.1f | %11.1f | %11.1f | %7.2fx | %7.2fx | %-6s | %s\n",
+    std::printf("%-13s | %11.1f | %11.1f | %7.2fx | %-6s | %s\n",
                 std::string(enforcement_policy_name(policy)).c_str(),
-                interp.mips(), predec.mips(), superb.mips(), pre_speedup,
-                blk_speedup, trace_ok ? "same" : "DIFFER",
-                verdict_ok ? "same" : "DIFFER");
+                interp.mips(), superb.mips(), blk_speedup,
+                trace_ok ? "same" : "DIFFER", verdict_ok ? "same" : "DIFFER");
 
     char row[640];
     std::snprintf(
         row, sizeof(row),
         "    {\"policy\": \"%s\", \"instructions\": %llu, \"sim_cycles\": "
-        "%llu, \"mips_interpretive\": %.1f, \"mips_predecoded\": %.1f, "
-        "\"mips_superblock\": %.1f, \"speedup\": %.2f, "
+        "%llu, \"mips_interpretive\": %.1f, \"mips_superblock\": %.1f, "
         "\"speedup_superblock\": %.2f, \"blocks\": %llu, "
         "\"trace_identical\": %s, \"verdict_identical\": %s},\n",
         std::string(enforcement_policy_name(policy)).c_str(),
         static_cast<unsigned long long>(superb.instructions),
         static_cast<unsigned long long>(superb.sim_cycles), interp.mips(),
-        predec.mips(), superb.mips(), pre_speedup, blk_speedup,
+        superb.mips(), blk_speedup,
         static_cast<unsigned long long>(superb.blocks),
         trace_ok ? "true" : "false", verdict_ok ? "true" : "false");
     policy_json += row;

@@ -60,9 +60,9 @@ class ConfigError : public Error {
 
 // Misuse of the Fleet/session facade: duplicate or unknown device ids,
 // a policy/build mismatch (e.g. kEilidHw on an uninstrumented build),
-// attesting a session that carries no attestation monitor. Derives
-// from ConfigError so callers of the deprecated core::Device shim keep
-// catching the type they always did.
+// enrolling a session that carries no attestation monitor or whose
+// build has no CFG. Derives from ConfigError: facade misuse is a
+// configuration error, so code catching ConfigError sees it too.
 class FleetError : public ConfigError {
  public:
   explicit FleetError(const std::string& what) : ConfigError(what) {}

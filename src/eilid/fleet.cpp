@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "cfa/cfg.h"
 #include "common/error.h"
 #include "eilid/rollout.h"
 
@@ -13,35 +12,6 @@ namespace eilid {
 // VerifierService
 // ------------------------------------------------------------------
 
-std::shared_ptr<const cfa::Cfg> VerifierService::cfg_for(
-    DeviceSession& session) {
-  const core::BuildResult* key = session.shared_build().get();
-  {
-    std::lock_guard<std::mutex> lock(cfg_mu_);
-    auto it = cfg_cache_.find(key);
-    if (it != cfg_cache_.end()) {
-      if (!it->second.first.expired()) return it->second.second;
-      cfg_cache_.erase(it);  // the build died; the address was recycled
-    }
-  }
-  // Extraction is the expensive half of enrollment: do it unlocked. A
-  // concurrent miss on the same build may extract twice; the first
-  // insert wins and both get an equivalent immutable CFG.
-  auto cfg = std::make_shared<const cfa::Cfg>(
-      cfa::extract_cfg(session.build().app));
-  std::lock_guard<std::mutex> lock(cfg_mu_);
-  // Misses are already paying for an extraction; prune dead builds so
-  // a long-lived service cycling through builds cannot accrete.
-  for (auto it = cfg_cache_.begin(); it != cfg_cache_.end();) {
-    it = it->second.first.expired() ? cfg_cache_.erase(it) : std::next(it);
-  }
-  auto [it, inserted] = cfg_cache_.try_emplace(
-      key, std::weak_ptr<const core::BuildResult>(session.shared_build()),
-      std::move(cfg));
-  (void)inserted;
-  return it->second.second;
-}
-
 VerifierService::DeviceState VerifierService::make_state(
     DeviceSession& session) {
   if (session.cfa_monitor() == nullptr) {
@@ -50,9 +20,14 @@ VerifierService::DeviceState VerifierService::make_state(
                      std::string(enforcement_policy_name(session.policy())) +
                      "); only kCfaBaseline devices attest");
   }
+  if (session.build().cfg == nullptr) {
+    throw FleetError("verifier: session '" + session.id() +
+                     "' runs a build with no CFG to replay against "
+                     "(build it with core::build_app or Fleet::build)");
+  }
   return DeviceState{
       &session,
-      cfa::CfaVerifier(cfg_for(session), session.options().attest_key), 0};
+      cfa::CfaVerifier(session.build().cfg, session.options().attest_key), 0};
 }
 
 void VerifierService::enroll(DeviceSession& session) {
@@ -81,11 +56,8 @@ void VerifierService::withdraw(const std::string& device_id) {
 }
 
 bool VerifierService::stage_cfg_swap(DeviceSession& session) {
-  if (session.cfa_monitor() == nullptr) return false;
-  // Extract (or fetch) the current build's CFG before taking mu_ --
-  // cfg_for only touches cfg_mu_, which never nests with a session
-  // mutex the caller holds.
-  std::shared_ptr<const cfa::Cfg> cfg = cfg_for(session);
+  std::shared_ptr<const cfa::Cfg> cfg = session.build().cfg;
+  if (session.cfa_monitor() == nullptr || cfg == nullptr) return false;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = devices_.find(session.id());
   if (it == devices_.end() || it->second.session != &session) return false;

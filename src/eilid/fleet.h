@@ -4,20 +4,22 @@
 //   - a content-hash-keyed build cache: identical (source, options)
 //     pairs run the three-iteration pipeline exactly once and share
 //     one immutable BuildResult across every device flashed with it --
-//     including one shared isa::DecodedImage (the ROM predecoded once
-//     per build) and one shared isa::BlockImage (its superblock
-//     suffix table: for every PC, the straight-line run to the first
-//     hazard). A fleet of N devices on one build decodes each
-//     instruction once and discovers each basic block once, at build
-//     time, total; every session's hot loop then retires whole blocks
-//     with one generation/IRQ check per block. A session falls back
-//     to per-instruction interpretive decode only for PCs outside
+//     including its one artifact per concern: the flat flashed image,
+//     one isa::DecodedImage (the ROM predecoded once per build, each
+//     slot also carrying its superblock suffix: the straight-line run
+//     to the first hazard) and the CFG the verifier replays against.
+//     A fleet of N devices on one build decodes each instruction once,
+//     discovers each basic block once and extracts the CFG once, at
+//     build time, total; every session's hot loop then retires whole
+//     blocks with one generation/IRQ check per block. A session falls
+//     back to per-instruction interpretive decode only for PCs outside
 //     flash or after a store lands in the code range, which bumps the
 //     bus's code-generation counter -- CASU-enforced devices never
-//     do. SessionOptions.engine selects kInterpretive, kPredecoded or
-//     kSuperblock (the default) per session; traces, final state and
-//     CFA evidence are bit-identical across all three (the bench and
-//     tests/test_superblock.cpp gate it),
+//     do. SessionOptions.engine selects kInterpretive or kSuperblock
+//     (the default) per session; traces, final state and CFA evidence
+//     are bit-identical across both, and across superblock pinned to
+//     per-step dispatch by a wants_step() monitor (the bench and
+//     tests/test_superblock.cpp gate all three),
 //   - a device registry provisioning N DeviceSessions from cached
 //     builds, each wired per its EnforcementPolicy,
 //   - a VerifierService multiplexing attestation across sessions with
@@ -29,7 +31,7 @@
 //     build to the target via a MAC'd package diffed between the two
 //     images, keyed and versioned per device. A successful update
 //     atomically swaps the session onto the target build (shared
-//     decoded + block tables, symbols) and stages a replay-CFG swap with the
+//     decoded table, CFG, symbols) and stages a replay-CFG swap with the
 //     verifier at the epoch marker the device logged, so pre-update
 //     evidence replays against the old CFG and post-update evidence
 //     against the new,
@@ -134,8 +136,8 @@
 //       ordered -- a device cannot be retired while it is still being
 //       deployed.
 //
-// The legacy single-device entry points (core::build_app + core::Device)
-// remain as deprecated shims over this layer.
+// A single standalone device is one DeviceSession constructed directly
+// on a core::build_app result.
 #ifndef EILID_EILID_FLEET_H
 #define EILID_EILID_FLEET_H
 
@@ -281,12 +283,13 @@ class VerifierService {
   Freshness freshness(const std::string& device_id) const;
 
   // Sanction the code change `session` just logged: stage a replay-CFG
-  // swap to the CFG of the session's *current* build (shared via the
-  // per-build cache), taking effect when the device's evidence stream
-  // reaches its update marker. Caller must hold session.mutex()
-  // (UpdateCampaign does). Returns false -- and stages nothing -- for
-  // a session with no CFA monitor, one this service has not enrolled,
-  // or one whose id is enrolled against a different live session.
+  // swap to the CFG of the session's *current* build (BuildResult::cfg,
+  // shared by every device of that build), taking effect when the
+  // device's evidence stream reaches its update marker. Caller must
+  // hold session.mutex() (UpdateCampaign does). Returns false -- and
+  // stages nothing -- for a session with no CFA monitor, one whose
+  // build carries no CFG, one this service has not enrolled, or one
+  // whose id is enrolled against a different live session.
   bool stage_cfg_swap(DeviceSession& session);
 
  private:
@@ -297,11 +300,10 @@ class VerifierService {
   };
 
   // Build fresh replay state for a session. Throws when it has no CFA
-  // monitor. The CFG is extracted once per distinct build (cfg_cache_)
-  // and shared read-only by every device flashed from it; neither the
-  // cache lookup nor a miss's extraction holds mu_.
+  // monitor or its build no CFG. The CFG is the build's own
+  // (BuildResult::cfg, extracted once per build) and shared read-only
+  // by every device flashed from it.
   DeviceState make_state(DeviceSession& session);
-  std::shared_ptr<const cfa::Cfg> cfg_for(DeviceSession& session);
   // The per-device attestation body; callers hold no service lock.
   // `session` is the device whose log is drained -- normally
   // state.session, but attest() passes the caller's session so an
@@ -321,16 +323,6 @@ class VerifierService {
                            // per-device state is guarded by the
                            // session's own mutex)
   std::map<std::string, DeviceState> devices_;
-  // Extracted CFG per build. The weak pin detects a dead build (and a
-  // recycled key address); stale entries are pruned on every miss, so
-  // the cache never outgrows the set of live builds by more than the
-  // garbage accrued since the last extraction. Enrolled devices keep
-  // their own shared_ptr via CfaVerifier, so eviction is always safe.
-  std::mutex cfg_mu_;
-  std::map<const core::BuildResult*,
-           std::pair<std::weak_ptr<const core::BuildResult>,
-                     std::shared_ptr<const cfa::Cfg>>>
-      cfg_cache_;
   std::atomic<uint64_t> nonce_counter_{1};
 
   const FleetClock* clock_ = nullptr;  // set once, before attestation

@@ -8,15 +8,12 @@
 #include <vector>
 
 #include "eilid/config.h"
-#include "eilid/device.h"
 #include "eilid/session.h"
 
 namespace eilid::core {
 
 class ShadowInspector {
  public:
-  explicit ShadowInspector(Device& device)
-      : machine_(device.machine()), cfg_(device.build().rom.config) {}
   explicit ShadowInspector(DeviceSession& session)
       : machine_(session.machine()), cfg_(session.build().rom.config) {}
 

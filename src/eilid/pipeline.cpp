@@ -65,15 +65,14 @@ std::shared_ptr<const isa::DecodedImage> predecode(
 
 // Build every shared per-build artifact: the flat flashed snapshot
 // (the sessions' copy-on-write base), the decoded image derived from
-// it, and the superblock table derived from that. Done once per build;
+// it, and the CFG the verifier replays against. Done once per build;
 // every device flashed with this build shares the same three immutable
 // objects.
 void attach_images(BuildResult& result) {
   result.flat_image =
       std::make_shared<const std::vector<uint8_t>>(flat_memory(result));
   result.decoded_image = predecode(*result.flat_image);
-  result.block_image =
-      std::make_shared<const isa::BlockImage>(*result.decoded_image);
+  result.cfg = std::make_shared<const cfa::Cfg>(cfa::extract_cfg(result.app));
 }
 
 }  // namespace

@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "casu/update.h"
+#include "cfa/cfg.h"
 #include "eilid/instrumenter.h"
 #include "eilid/rom_builder.h"
-#include "isa/block_image.h"
 #include "isa/decoded_image.h"
 #include "masm/assembler.h"
 
@@ -45,25 +45,27 @@ struct BuildResult {
   InstrumentResult report;   // last instrumentation pass
   std::vector<IterationStats> iterations;  // Fig. 2 growth data
   bool converged = true;
-  // Predecoded view of the flashed code regions (secure ROM + PMEM),
-  // built once here and shared read-only by every device flashed with
-  // this build -- the fleet's build cache therefore decodes each ROM
-  // exactly once, however many sessions run it. See
-  // isa::DecodedImage / Machine::attach_decoded_image for the
-  // invalidation rule.
-  std::shared_ptr<const isa::DecodedImage> decoded_image;
-  // Superblock table derived from the decoded image: per-PC straight-
-  // line run lengths with pre-summed cycles and terminator kinds, for
-  // block-granular dispatch (see isa::BlockImage and
-  // Machine::attach_block_image). Shares the decoded image's
-  // fleet-wide build-once lifetime and invalidation rule.
-  std::shared_ptr<const isa::BlockImage> block_image;
-  // The full 64 KiB flashed snapshot (== flat_memory(*this)), built
-  // once here and attached as every session's copy-on-write base image
-  // (sim::PagedMemory): N devices of one build share these bytes and
-  // privately own only the pages they dirty. Same build-once lifetime
-  // as the decode tables.
+  // One shared, immutable artifact per concern, built once here on
+  // every build path (attach_images) and shared read-only by every
+  // device flashed with this build -- the fleet's build cache therefore
+  // snapshots, decodes and analyses each build exactly once, however
+  // many sessions run it.
+  //
+  // The full 64 KiB flashed snapshot (== flat_memory(*this)), attached
+  // as every session's copy-on-write base image (sim::PagedMemory): N
+  // devices of one build share these bytes and privately own only the
+  // pages they dirty.
   std::shared_ptr<const std::vector<uint8_t>> flat_image;
+  // The flashed code regions (secure ROM + PMEM) decoded into one
+  // PC-indexed table: each slot's instruction plus its superblock
+  // suffix (span, summed cycles, static target, end kind). Drives both
+  // per-instruction and block dispatch; see isa::DecodedImage and
+  // Machine::attach_decoded_image for the invalidation rule.
+  std::shared_ptr<const isa::DecodedImage> decoded_image;
+  // The app's static CFG (== cfa::extract_cfg(app)), which the CFA
+  // verifier replays attestation evidence against. Null only on a
+  // hand-assembled BuildResult, which cannot enroll for attestation.
+  std::shared_ptr<const cfa::Cfg> cfg;
 
   size_t binary_size() const { return app.image.size_bytes(); }
 };

@@ -22,7 +22,6 @@ std::string_view enforcement_policy_name(EnforcementPolicy policy) {
 std::string_view execution_engine_name(ExecutionEngine engine) {
   switch (engine) {
     case ExecutionEngine::kInterpretive: return "interpretive";
-    case ExecutionEngine::kPredecoded: return "predecoded";
     case ExecutionEngine::kSuperblock: return "superblock";
   }
   return "?";
@@ -102,22 +101,16 @@ DeviceSession::DeviceSession(std::string device_id,
           ? build_->flat_image
           : std::make_shared<const std::vector<uint8_t>>(
                 core::flat_memory(*build_)));
-  // Attach the build's shared execution tables *after* the flash (the
+  // Attach the build's shared decoded table *after* the flash (the
   // attachment snapshots the bus's code generation, so it must see the
-  // flashed state). Every session of this build shares the same tables.
+  // flashed state). Every session of this build shares the same table.
   attach_engine_tables();
   machine_.power_on();
 }
 
 void DeviceSession::attach_engine_tables() {
   if (options_.engine == ExecutionEngine::kInterpretive) return;
-  if (build_->decoded_image != nullptr) {
-    machine_.attach_decoded_image(build_->decoded_image);
-  }
-  if (options_.engine == ExecutionEngine::kSuperblock &&
-      build_->block_image != nullptr) {
-    machine_.attach_block_image(build_->block_image);
-  }
+  machine_.attach_decoded_image(build_->decoded_image);
 }
 
 uint16_t DeviceSession::symbol(const std::string& name) const {
@@ -191,9 +184,9 @@ void DeviceSession::adopt_build(std::shared_ptr<const core::BuildResult> next) {
   bus.reclaim_identical_pages(sim::kPmemStart, 0xFFFF);
   // The update's stores bumped the bus code generation (as does the
   // base swap), so the CPU is running interpretively right now;
-  // attaching the new build's shared tables re-snapshots the
+  // attaching the new build's shared table re-snapshots the
   // generation and restores the session's configured engine -- against
-  // tables that match the new bytes.
+  // a table that matches the new bytes.
   attach_engine_tables();
 }
 

@@ -15,7 +15,7 @@
 // page, and resident_memory_bytes() reports only the pages this device
 // actually dirtied plus its CFA log arena -- so 10k sessions of one
 // build cost near one shared image, not 10k copies. Reads/writes keep
-// their inline fast paths and the three execution engines stay
+// their inline fast paths and the execution engines stay
 // bit-identical over paged memory (tests/test_fleet_scale.cpp).
 #ifndef EILID_EILID_SESSION_H
 #define EILID_EILID_SESSION_H
@@ -50,28 +50,28 @@ enum class EnforcementPolicy : uint8_t {
 
 std::string_view enforcement_policy_name(EnforcementPolicy policy);
 
-// Which simulator core drives the device. All three engines are
+// Which simulator core drives the device. Both engines are
 // architecturally identical -- retired-instruction traces, cycle
 // counts, CFA edge logs and MACs, and enforcement verdicts match
 // bit-for-bit -- and differ only in dispatch granularity:
 //   kInterpretive -- decode every instruction from backing memory
-//     (the original core; the always-correct fallback every other
-//     engine degrades to when its tables go stale),
-//   kPredecoded   -- per-instruction dispatch from the build's shared
-//     decoded table (PR 3),
+//     (the original core: the reference oracle, and the always-correct
+//     fallback the superblock engine degrades to when its table goes
+//     stale),
 //   kSuperblock   -- block-granular dispatch from the build's shared
-//     superblock table: one bounds/generation check and one batched
+//     decoded table: one bounds/generation check and one batched
 //     cycle/tick account per straight-line run, with interrupt
 //     delivery re-checked at block boundaries (a mid-block IRQ horizon
 //     refuses the block, so delivery still lands at the architecturally
-//     correct instruction).
-// Any store at or above the code floor invalidates the shared tables
+//     correct instruction). Whenever a wants_step() monitor is attached
+//     (a tracer), it steps one instruction at a time from the same
+//     table instead.
+// Any store at or above the code floor invalidates the shared table
 // (Bus::code_generation) and drops the device to interpretive decode
 // until a fresh table is attached -- the self-modifying-code rule that
 // has held since the decoded table landed.
 enum class ExecutionEngine : uint8_t {
   kInterpretive,
-  kPredecoded,
   kSuperblock,
 };
 
@@ -88,9 +88,10 @@ struct SessionOptions {
   // protocol authenticates against). Fleet derives it from its master
   // key; standalone sessions may set it directly.
   crypto::Digest update_key{};
-  // Simulator core selection (see ExecutionEngine): which of the
-  // build's shared tables the session attaches. Every differential
-  // gate in the benches compares all three as a three-way oracle.
+  // Simulator core selection (see ExecutionEngine): whether the
+  // session attaches the build's shared decoded table. The
+  // differential oracles compare interpretive, superblock pinned
+  // per-step by a wants_step() monitor, and superblock.
   ExecutionEngine engine = ExecutionEngine::kSuperblock;
 };
 
@@ -172,7 +173,7 @@ class DeviceSession {
   // Re-point the session at `next` after an applied update has made
   // the device's PMEM byte-identical to next's image (the caller --
   // normally UpdateCampaign -- guarantees that; the ROM must be
-  // unchanged). Re-attaches next's shared predecoded table, so the
+  // unchanged). Re-attaches next's shared decoded table, so the
   // device keeps decoding from a build-time table instead of falling
   // back to interpretive decode forever, and future symbol lookups
   // resolve against the new code. Throws eilid::FleetError on a
@@ -187,7 +188,7 @@ class DeviceSession {
 
   // Factory recovery: restore the flashed code regions (PMEM + secure
   // ROM) byte-for-byte from the session's *recorded* build, re-attach
-  // its shared predecoded table, then power_cycle(). This is the
+  // its shared decoded table, then power_cycle(). This is the
   // "reset" half of fleet remediation -- a device that diverged from
   // its recorded image (rogue but validly-MAC'd patch, kNone
   // self-modification) is put back onto a known image so a subsequent
@@ -212,7 +213,7 @@ class DeviceSession {
   // artifacts: the machine's materialized copy-on-write pages and page
   // tables (sim::PagedMemory) plus the CFA monitor's resident log
   // arena. The bench_fleet_10k per-device gate reads this; the shared
-  // flat image, decode tables and CFG are counted once per build, not
+  // flat image, decoded table and CFG are counted once per build, not
   // here.
   size_t resident_memory_bytes() const;
 
@@ -226,10 +227,9 @@ class DeviceSession {
   std::mutex& mutex() const { return mu_; }
 
  private:
-  // (Re-)attach the build's shared execution tables per options_.engine
-  // -- decoded image for kPredecoded, decoded + superblock tables for
-  // kSuperblock, neither for kInterpretive. Must run after every flash
-  // of the code regions (construction, adopt_build, reflash): the
+  // (Re-)attach the build's shared decoded table per options_.engine
+  // -- for kSuperblock, none for kInterpretive. Must run after every
+  // flash of the code regions (construction, adopt_build, reflash): the
   // attachment snapshots the bus code generation.
   void attach_engine_tables();
 

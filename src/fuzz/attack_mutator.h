@@ -4,9 +4,9 @@
 // would leave the benign behavior intact and prove nothing. The
 // planners return what to patch (and what divergence it must provoke);
 // the harness applies the patch through Bus::raw_store_word, which
-// bumps the bus code generation so every engine -- interpretive,
-// predecoded, superblock -- sees the mutated bytes, never a stale
-// table.
+// bumps the bus code generation so every engine -- interpretive or
+// superblock, stepping or dispatching blocks -- sees the mutated
+// bytes, never a stale table.
 //
 // Families:
 //   - PMEM control-flow diversion: rewrite an exercised direct jump's

@@ -20,17 +20,28 @@
 namespace eilid::fuzz {
 namespace {
 
-constexpr ExecutionEngine kEngines[] = {
-    ExecutionEngine::kInterpretive,
-    ExecutionEngine::kPredecoded,
-    ExecutionEngine::kSuperblock,
+// Oracle 1's three arms: the interpretive reference, superblock pinned
+// to per-instruction dispatch from the decoded table, and superblock.
+struct EngineArm {
+  ExecutionEngine engine;
+  bool per_step;  // attach step_pin
+  const char* name;
 };
+constexpr EngineArm kArms[] = {
+    {ExecutionEngine::kInterpretive, false, "interpretive"},
+    {ExecutionEngine::kSuperblock, true, "superblock-per-step"},
+    {ExecutionEngine::kSuperblock, false, "superblock"},
+};
+
+// A plain Monitor observes nothing but wants every step, which pins a
+// session to per-instruction dispatch. Stateless, so one serves all.
+sim::Monitor step_pin;
 
 constexpr uint64_t kNonce = 0xF00DF00DF00DF00Dull;
 
-// One fixed key for every standalone session: cross-engine MAC
-// identity is only meaningful when all three engines MAC with the same
-// key over the same nonce.
+// One fixed key for every standalone session: cross-arm MAC identity
+// is only meaningful when all three arms MAC with the same key over
+// the same nonce.
 crypto::Digest fixed_key() {
   crypto::Digest d{};
   d.fill(0x6B);
@@ -122,7 +133,7 @@ void DifferentialHarness::check_program(uint64_t seed,
   const auto plain = fleet.build(source, spec.name(), {.eilid = false});
   const auto instr = fleet.build(source, spec.name() + "-eilid", {});
 
-  // Oracle 1: three engines, bit-identical, under every policy.
+  // Oracle 1: three arms, bit-identical, under every policy.
   struct PolicyCase {
     EnforcementPolicy policy;
     bool instrumented;
@@ -139,14 +150,14 @@ void DifferentialHarness::check_program(uint64_t seed,
         options_.benign_budget * (pc.instrumented ? 4 : 1);
     std::vector<FinalState> states;
     std::vector<cfa::Report> cfa_reports;
-    for (ExecutionEngine engine : kEngines) {
+    for (const EngineArm& arm : kArms) {
       DeviceSession dev(spec.name(), build, pc.policy,
-                        standalone_options(engine));
+                        standalone_options(arm.engine));
+      if (arm.per_step) dev.machine().add_monitor(&step_pin);
       const sim::RunResult rr = dev.run_to_symbol("halt", budget);
       ++report.engine_runs;
-      const std::string tag = std::string(enforcement_policy_name(pc.policy)) +
-                              "/" +
-                              std::string(execution_engine_name(engine));
+      const std::string tag =
+          std::string(enforcement_policy_name(pc.policy)) + "/" + arm.name;
       if (rr.cause != sim::StopCause::kBreakpoint) {
         add_failure(report, seed, tag + ": did not reach halt in " +
                                       std::to_string(budget) + " cycles");
@@ -167,10 +178,8 @@ void DifferentialHarness::check_program(uint64_t seed,
       if (!(states[i] == states[0])) {
         add_failure(report, seed,
                     std::string(enforcement_policy_name(pc.policy)) +
-                        ": final state diverges between " +
-                        std::string(execution_engine_name(kEngines[0])) +
-                        " and " +
-                        std::string(execution_engine_name(kEngines[i])));
+                        ": final state diverges between " + kArms[0].name +
+                        " and " + kArms[i].name);
       }
     }
     for (size_t i = 1; i < cfa_reports.size(); ++i) {
@@ -196,14 +205,20 @@ void DifferentialHarness::check_program(uint64_t seed,
 
   // Oracle 2: pooled == serial sweep over identical cohorts.
   std::vector<DeviceSession*> serial_cohort, pooled_cohort;
-  for (size_t i = 0; i < std::size(kEngines); ++i) {
+  for (size_t i = 0; i < std::size(kArms); ++i) {
     const std::string suffix = std::to_string(i);
-    serial_cohort.push_back(&fleet.deploy("a" + suffix, plain,
-                                          EnforcementPolicy::kCfaBaseline,
-                                          standalone_options(kEngines[i])));
-    pooled_cohort.push_back(&fleet.deploy("b" + suffix, plain,
-                                          EnforcementPolicy::kCfaBaseline,
-                                          standalone_options(kEngines[i])));
+    DeviceSession& a = fleet.deploy("a" + suffix, plain,
+                                    EnforcementPolicy::kCfaBaseline,
+                                    standalone_options(kArms[i].engine));
+    DeviceSession& b = fleet.deploy("b" + suffix, plain,
+                                    EnforcementPolicy::kCfaBaseline,
+                                    standalone_options(kArms[i].engine));
+    if (kArms[i].per_step) {
+      a.machine().add_monitor(&step_pin);
+      b.machine().add_monitor(&step_pin);
+    }
+    serial_cohort.push_back(&a);
+    pooled_cohort.push_back(&b);
   }
   for (DeviceSession* dev : serial_cohort) {
     dev->run_to_symbol("halt", options_.benign_budget);

@@ -7,7 +7,7 @@
 //      (registers, cycles, retired count, resets, RAM) and, where a
 //      CFA monitor is present, bit-identical attestation evidence
 //      (edges, drop count, cycle, MAC) across kInterpretive,
-//      kPredecoded and kSuperblock;
+//      kSuperblock pinned per-step (a plain sim::Monitor) and kSuperblock;
 //   2. sweep identity: a pooled VerifierService sweep over a cohort
 //      must return verdict-for-verdict the same results as a serial
 //      sweep over an identical cohort;

@@ -21,6 +21,69 @@ bool is_control_transfer(const Instruction& insn) {
   return false;
 }
 
+bool writes_status_register(const Instruction& insn) {
+  const OpcodeInfo& info = opcode_info(insn.op);
+  switch (info.format) {
+    case Format::kJump:
+      return false;
+    case Format::kDouble:
+      return insn.dst.mode == AddrMode::kRegister && insn.dst.reg == kSR;
+    case Format::kSingle:
+      // rrc/rra/swpb/sxt with SR as the read-modify-write operand.
+      // push reads only; call/reti are control transfers.
+      return insn.op != Opcode::kPush && insn.op != Opcode::kCall &&
+             insn.op != Opcode::kReti &&
+             insn.src.mode == AddrMode::kRegister && insn.src.reg == kSR;
+  }
+  return false;
+}
+
+namespace {
+
+// Backward pass over one decoded range: each slot's run is its own
+// instruction plus the run of its fall-through slot, unless the
+// instruction is itself a hazard or the fall-through leaves the range.
+void fill_block_suffixes(DecodedImage::RangeTable& table) {
+  for (size_t i = table.entries.size(); i-- > 0;) {
+    DecodedImage::Entry& e = table.entries[i];
+    if (e.size_words == 0) continue;  // span stays 0: undecodable slot
+    const uint16_t pc = static_cast<uint16_t>(table.first + 2 * i);
+    e.span = 1;
+    e.block_cycles = e.cycles;
+    if (e.control_transfer) {
+      e.end = BlockEnd::kTransfer;
+      if (e.format == Format::kJump) {
+        e.target = Decoded{e.insn, pc, e.size_words}.jump_target();
+      } else if (e.insn.op == Opcode::kCall &&
+                 e.insn.src.mode == AddrMode::kImmediate) {
+        e.target = static_cast<uint16_t>(e.insn.src.value) & 0xFFFE;
+      }
+      continue;
+    }
+    if (writes_status_register(e.insn)) {
+      e.end = BlockEnd::kSrWrite;
+      continue;
+    }
+    if (static_cast<uint32_t>(pc) + 2u * e.size_words > table.last) {
+      e.end = BlockEnd::kRangeEnd;
+      continue;
+    }
+    const DecodedImage::Entry& succ = table.entries[i + e.size_words];
+    if (succ.span == 0) {
+      // The successor slot does not decode. Stop before it so the
+      // illegal trap fires from the per-instruction path.
+      e.end = BlockEnd::kLeadsIllegal;
+      continue;
+    }
+    e.span = static_cast<uint16_t>(1 + succ.span);
+    e.block_cycles = static_cast<uint16_t>(e.cycles + succ.block_cycles);
+    e.target = succ.target;
+    e.end = succ.end;
+  }
+}
+
+}  // namespace
+
 DecodedImage::DecodedImage(std::span<const uint8_t> memory,
                            std::span<const Range> ranges) {
   auto word_at = [&memory](uint32_t addr) {
@@ -52,23 +115,9 @@ DecodedImage::DecodedImage(std::span<const uint8_t> memory,
       entry.control_transfer = is_control_transfer(decoded->insn);
       ++decoded_count_;
     }
+    fill_block_suffixes(table);
     tables_.push_back(std::move(table));
   }
-}
-
-size_t DecodedImage::slot_count() const {
-  size_t n = 0;
-  for (const RangeTable& t : tables_) n += t.entries.size();
-  return n;
-}
-
-std::vector<DecodedImage::RangeView> DecodedImage::range_views() const {
-  std::vector<RangeView> views;
-  views.reserve(tables_.size());
-  for (const RangeTable& t : tables_) {
-    views.push_back({t.first, t.last, std::span<const Entry>(t.entries)});
-  }
-  return views;
 }
 
 }  // namespace eilid::isa

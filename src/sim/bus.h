@@ -254,7 +254,7 @@ class Bus {
   // reads the shared image directly, so N sessions of one build cost
   // one image plus their private dirty pages. Owned pages keep their
   // bytes across a swap. Conservatively bumps the code generation:
-  // callers re-attach decode tables afterwards (DeviceSession does).
+  // callers re-attach the decoded table afterwards (DeviceSession does).
   void attach_base_image(std::shared_ptr<const std::vector<uint8_t>> base) {
     mem_.attach_base(std::move(base));
     ++code_generation_;

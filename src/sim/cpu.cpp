@@ -391,47 +391,21 @@ StepOutcome Cpu::step() {
   return out;
 }
 
-void Cpu::rebuild_engine_ranges() {
-  engine_ranges_.clear();
-  if (blocks_ == nullptr || image_ == nullptr) return;
-  auto block_views = blocks_->range_views();
-  auto decoded_views = image_->range_views();
-  if (block_views.size() != decoded_views.size()) return;  // mismatched tables
-  for (size_t i = 0; i < block_views.size(); ++i) {
-    if (block_views[i].first != decoded_views[i].first ||
-        block_views[i].last != decoded_views[i].last) {
-      engine_ranges_.clear();
-      return;
-    }
-    engine_ranges_.push_back({block_views[i].first, block_views[i].last,
-                              block_views[i].entries.data(),
-                              decoded_views[i].entries.data()});
-  }
-}
-
 BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
                         bool chain) {
   BlockRun out;
   // One validity check for the whole run, where step() pays one per
-  // instruction: the block table shares the decoded image's snapshot
-  // rule, so a single generation compare covers both.
-  if (engine_ranges_.empty() || bus_.code_generation() != image_generation_) {
+  // instruction.
+  if (image_ == nullptr || bus_.code_generation() != image_generation_) {
     return out;
   }
   uint16_t pc = regs_[isa::kPC];
-  const isa::BlockImage::Entry* block = nullptr;
-  const isa::DecodedImage::Entry* entry = nullptr;
-  const EngineRange* range = nullptr;
-  for (const EngineRange& r : engine_ranges_) {
-    if (pc >= r.first && pc <= r.last) {
-      const size_t slot = static_cast<size_t>(pc - r.first) >> 1;
-      block = r.blocks + slot;
-      entry = r.decoded + slot;
-      range = &r;
-      break;
-    }
-  }
-  if (block == nullptr || block->span == 0) return out;
+  const isa::DecodedImage::RangeTable* range = image_->range_of(pc);
+  if (range == nullptr) return out;
+  // The dispatch entry's suffix fields describe the whole run; `entry`
+  // then walks the run's instructions.
+  const isa::DecodedImage::Entry* entry = &range->at(pc);
+  if (entry->span == 0) return out;
   // Interrupt horizon: if a tick-driven source could assert within this
   // block's cycle count, an enabled CPU must take it at the exact
   // instruction boundary the interpretive engine would -- refuse and
@@ -440,7 +414,7 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
   // movement comes from peripheral register access, which ends the run
   // below.)
   if (gie() &&
-      bus_.cycles_until_irq() <= block->cycles + bus_.tick_debt()) {
+      bus_.cycles_until_irq() <= entry->block_cycles + bus_.tick_debt()) {
     return out;
   }
 
@@ -460,7 +434,7 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
   // at exit); both always describe the final instruction attempted.
   uint16_t last_pc = pc;
   uint16_t last_next = entry->next_address;
-  uint16_t remaining = block->span;
+  uint16_t remaining = entry->span;
   for (;;) {
     cur_pc_ = pc;
     if (watched && !bus_.notify_fetch(pc)) {
@@ -514,36 +488,25 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
       pc = regs_[isa::kPC];
       if (pc == breakpoint_pc) break;
       if (cpu_off()) break;
-      block = nullptr;
       // Chained transfers overwhelmingly land in the range they left:
-      // a taken direct jump's static target (BlockImage::Entry::target)
-      // lives in the same contiguous flash range as the branch, as do
-      // call/ret targets in single-range images. Re-probe the cached
-      // range first and fall back to the linear scan only on a genuine
+      // a taken direct jump's static target (Entry::target) lives in
+      // the same contiguous flash range as the branch, as do call/ret
+      // targets in single-range images. Re-probe the current range
+      // first and fall back to the range scan only on a genuine
       // cross-range transfer, so the hot chain path costs one bounds
       // compare instead of a walk over every range.
-      if (pc >= range->first && pc <= range->last) {
-        const size_t slot = static_cast<size_t>(pc - range->first) >> 1;
-        block = range->blocks + slot;
-        entry = range->decoded + slot;
-      } else {
-        for (const EngineRange& r : engine_ranges_) {
-          if (pc >= r.first && pc <= r.last) {
-            const size_t slot = static_cast<size_t>(pc - r.first) >> 1;
-            block = r.blocks + slot;
-            entry = r.decoded + slot;
-            range = &r;
-            break;
-          }
-        }
+      if (!range->contains(pc)) {
+        range = image_->range_of(pc);
+        if (range == nullptr) break;
       }
-      if (block == nullptr || block->span == 0) break;
+      entry = &range->at(pc);
+      if (entry->span == 0) break;
       if (gie() &&
-          bus_.cycles_until_irq() <= block->cycles + bus_.tick_debt()) {
+          bus_.cycles_until_irq() <= entry->block_cycles + bus_.tick_debt()) {
         break;
       }
       ++blocks_executed_;
-      remaining = block->span;
+      remaining = entry->span;
       continue;
     }
     // Interior instructions are sequential by construction (no control

@@ -11,9 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
-#include "isa/block_image.h"
 #include "isa/decoded_image.h"
 #include "isa/decoder.h"
 #include "isa/registers.h"
@@ -39,7 +37,7 @@ struct StepOutcome {
 
 // Result of one superblock dispatch (Cpu::run_block).
 struct BlockRun {
-  // False when the fast path was unavailable (no valid block table at
+  // False when the fast path was unavailable (no valid decoded table at
   // the current PC, an IRQ could assert or deliver mid-block, a
   // violation already latched): nothing executed, the caller must take
   // the per-instruction path. All other fields are meaningless.
@@ -83,32 +81,20 @@ class Cpu {
   //  horizon, breakpoint, budget) that gate a fresh dispatch.
   BlockRun run_block(uint16_t breakpoint_pc, uint64_t cycle_budget, bool chain);
 
-  // Attach the build's shared superblock table. Must be called AFTER
-  // set_decoded_image with tables built from the same flashed bytes
-  // (set_decoded_image drops any previously attached block table to
-  // enforce the ordering). Null detaches and disables block dispatch.
-  void set_block_image(std::shared_ptr<const isa::BlockImage> blocks) {
-    blocks_ = std::move(blocks);
-    rebuild_engine_ranges();
-  }
-  const isa::BlockImage* block_image() const { return blocks_.get(); }
   uint64_t blocks_executed() const { return blocks_executed_; }
 
   // Attach a predecoded image built from the bytes currently flashed.
-  // The CPU consults it for PCs inside its ranges and falls back to
+  // The CPU consults it for PCs inside its ranges (per instruction in
+  // step(), per superblock in run_block()) and falls back to
   // interpretive decode elsewhere. The attachment is valid only while
   // no store lands in the code range: the bus's code-generation
-  // counter is snapshotted here and checked every step, so a device
-  // that scribbles on its own code (possible under kNone) re-decodes
-  // from memory and stays architecturally correct.
+  // counter is snapshotted here and checked every step and block, so a
+  // device that scribbles on its own code (possible under kNone)
+  // re-decodes from memory and stays architecturally correct. Null
+  // detaches: every instruction decodes interpretively.
   void set_decoded_image(std::shared_ptr<const isa::DecodedImage> image) {
     image_ = std::move(image);
     image_generation_ = bus_.code_generation();
-    // A block table derived from some earlier decode snapshot must not
-    // pair with this image; the caller re-attaches a matching one next
-    // (see Machine::attach_block_image) or runs without block dispatch.
-    blocks_.reset();
-    rebuild_engine_ranges();
   }
   const isa::DecodedImage* decoded_image() const { return image_.get(); }
   bool decode_cache_valid() const {
@@ -153,17 +139,6 @@ class Cpu {
   void exec_single(const isa::Instruction& insn, uint16_t insn_pc);
   void exec_jump(const isa::Decoded& decoded);
 
-  // Zip of the block and decoded tables' identical ranges, so block
-  // dispatch resolves both entries with one range scan. Empty unless
-  // both tables are attached and their ranges align.
-  struct EngineRange {
-    uint16_t first;
-    uint16_t last;
-    const isa::BlockImage::Entry* blocks;
-    const isa::DecodedImage::Entry* decoded;
-  };
-  void rebuild_engine_ranges();
-
   void set_flag(uint16_t bit, bool on);
   // Replace all four status bits in one SR update (every ALU op writes
   // all four; doing it as four read-modify-writes was measurable in
@@ -178,8 +153,6 @@ class Cpu {
   uint16_t cur_pc_ = 0;  // pc of the executing instruction (bus attribution)
   uint64_t instructions_retired_ = 0;
   std::shared_ptr<const isa::DecodedImage> image_;
-  std::shared_ptr<const isa::BlockImage> blocks_;
-  std::vector<EngineRange> engine_ranges_;
   uint64_t image_generation_ = 0;
   uint64_t decode_cache_hits_ = 0;
   uint64_t decode_cache_misses_ = 0;

@@ -37,11 +37,6 @@ void Machine::attach_decoded_image(
   cpu_.set_decoded_image(std::move(image));
 }
 
-void Machine::attach_block_image(
-    std::shared_ptr<const isa::BlockImage> blocks) {
-  cpu_.set_block_image(std::move(blocks));
-}
-
 void Machine::power_on() {
   cpu_.power_on_reset();
   resets_.push_back({cycles_, 0, ResetReason::kPowerOn});

@@ -55,19 +55,12 @@ class Machine {
   // Attach a predecoded image matching the bytes currently flashed
   // (call after every load). The CPU skips interpretive decode for PCs
   // the image covers until a store lands in the code range (see
-  // Bus::code_generation()). Shared fleet-wide: all devices flashed
+  // Bus::code_generation()), and the run loop dispatches whole
+  // straight-line runs from the image's block suffixes whenever no
+  // attached monitor wants per-step callouts and no interrupt could
+  // become deliverable mid-run. Shared fleet-wide: all devices flashed
   // from one build point at one immutable table.
   void attach_decoded_image(std::shared_ptr<const isa::DecodedImage> image);
-
-  // Additionally attach the build's superblock table (requires a
-  // decoded image attached from the same flashed state): the run loop
-  // then dispatches whole straight-line runs per iteration whenever no
-  // attached monitor wants per-step callouts and no interrupt could
-  // become deliverable mid-run. Invalidation is the decode-cache rule:
-  // any store at or above the code floor drops the device back to
-  // per-instruction (and, once the decoded snapshot is stale,
-  // interpretive) execution.
-  void attach_block_image(std::shared_ptr<const isa::BlockImage> blocks);
 
   // Power-on: reset CPU from the vector table, notify monitors.
   void power_on();
@@ -93,7 +86,7 @@ class Machine {
 
   // How many superblocks the run loop dispatched (fast-path engagement
   // telemetry; the differential tests assert this is nonzero under the
-  // superblock engine and zero elsewhere).
+  // superblock engine and zero when it is pinned per-step or absent).
   uint64_t blocks_executed() const { return cpu_.blocks_executed(); }
 
  private:
@@ -102,7 +95,7 @@ class Machine {
   bool step_once();
   // Attempts one superblock dispatch at the current PC. Returns false
   // (nothing happened; caller must step_once) when block dispatch is
-  // unavailable: no valid block table, a monitor wants per-step
+  // unavailable: no valid decoded table, a monitor wants per-step
   // callouts, an interrupt is pending and deliverable, the CPU is off,
   // or a violation latched outside stepping (update-engine paths).
   bool try_run_block(uint16_t breakpoint_pc, uint64_t cycle_budget);

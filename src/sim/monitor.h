@@ -58,7 +58,10 @@ class Monitor : public BusWatcher {
   // Whether this monitor needs on_step after every retired instruction.
   // True (the compatible default) pins the machine to per-instruction
   // execution; monitors that only consume transfers must return false
-  // or they silently veto superblock dispatch for the whole device.
+  // or they silently veto superblock dispatch for the whole device. A
+  // plain sim::Monitor observes nothing and keeps this default, so the
+  // differential oracles attach one to pin a superblock session to
+  // per-instruction dispatch from the same decoded table.
   virtual bool wants_step() const { return true; }
 
   // Fired after each retired instruction with the PC transition --

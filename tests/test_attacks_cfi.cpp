@@ -7,8 +7,8 @@
 #include "common/error.h"
 #include "attacks/attack.h"
 #include "attacks/gadgets.h"
-#include "eilid/device.h"
 #include "eilid/pipeline.h"
+#include "standalone_session.h"
 
 namespace eilid {
 namespace {
@@ -19,7 +19,7 @@ TEST(AttackP1, ExploitHijacksPlainDevice) {
   const auto& app = apps::vuln_gateway();
   core::BuildResult build = core::build_app(app.source, app.name,
                                             {.eilid = false});
-  core::Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().uart().feed(
       attacks::overflow_ret_payload(device.symbol("unlock")));
   device.run_to_symbol("halt", 200000);
@@ -30,7 +30,7 @@ TEST(AttackP1, ExploitHijacksPlainDevice) {
 TEST(AttackP1, ExploitStoppedOnEilidDevice) {
   const auto& app = apps::vuln_gateway();
   core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().uart().feed(
       attacks::overflow_ret_payload(device.symbol("unlock")));
   auto r = device.run_to_symbol("halt", 200000);
@@ -44,7 +44,7 @@ TEST(AttackP1, ExploitStoppedOnEilidDevice) {
 TEST(AttackP1, BenignTrafficUnaffected) {
   const auto& app = apps::vuln_gateway();
   core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().uart().feed(attacks::benign_payload());
   auto r = device.run_to_symbol("halt", 200000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);
@@ -54,7 +54,7 @@ TEST(AttackP1, BenignTrafficUnaffected) {
 TEST(AttackP2, IsrContextTamperCaughtByEilid) {
   const auto& app = apps::app_by_name("light_sensor");
   core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   app.setup(device.machine());
 
   attacks::AttackEngine engine(device.machine());
@@ -78,7 +78,7 @@ TEST(AttackP2, IsrContextTamperCaughtByEilid) {
 TEST(AttackP3, UnregisteredTargetCaught) {
   const auto& app = apps::vuln_gateway();
   core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().uart().feed(attacks::benign_payload());
 
   attacks::AttackEngine engine(device.machine());
@@ -98,7 +98,7 @@ TEST(AttackP3, RegisteredTargetAllowedFunctionLevelGranularity) {
   // *in the table* is not detected.
   const auto& app = apps::vuln_gateway();
   core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().uart().feed(attacks::benign_payload());
 
   attacks::AttackEngine engine(device.machine());
@@ -115,7 +115,7 @@ TEST(AttackP3, RegisteredTargetAllowedFunctionLevelGranularity) {
 TEST(AttackEngine, RefusesNonRamTargets) {
   const auto& app = apps::vuln_gateway();
   core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build);
+  DeviceSession device = standalone_session(build);
   attacks::AttackEngine engine(device.machine());
   attacks::Attack attack;
   attack.writes = {{0xE000, 0xDEAD, false, false}};  // PMEM
@@ -146,7 +146,7 @@ TEST(Attacks, DeviceRebootsCleanAfterEnforcement) {
   // (CASU heals by reset; state is wiped).
   const auto& app = apps::vuln_gateway();
   core::BuildResult build = core::build_app(app.source, app.name);
-  core::Device device(build);  // halt_on_reset = false: let it reboot
+  DeviceSession device = standalone_session(build);  // halt_on_reset = false: let it reboot
   device.machine().uart().feed(
       attacks::overflow_ret_payload(device.symbol("unlock")));
   device.machine().uart().feed(attacks::benign_payload());

@@ -6,9 +6,9 @@
 
 #include "casu/monitor.h"
 #include "casu/update.h"
-#include "eilid/device.h"
 #include "eilid/pipeline.h"
 #include "masm/assembler.h"
+#include "standalone_session.h"
 
 namespace eilid::casu {
 namespace {
@@ -98,7 +98,7 @@ TEST(Casu, RomEntryGateEnforced) {
   core::BuildResult attack = core::build_app(attack_src, "gate2",
                                              {.eilid = false});
   attack.rom = build.rom;  // same trusted ROM
-  core::Device device(attack, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(attack, /*halt_on_reset=*/true);
   auto r = device.machine().run(1000);
   EXPECT_EQ(r.cause, sim::StopCause::kDeviceReset);
   EXPECT_EQ(device.machine().resets().back().reason,
@@ -110,7 +110,7 @@ TEST(Casu, RomEntryThroughStubIsLegal) {
       ".org 0xe000\nmain:\n    mov #0x1000, r1\n    call #foo\nhalt:\n"
       "    jmp halt\nfoo:\n    ret\n.vector 15, main\n.end\n",
       "legal");
-  core::Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   auto r = device.run_to_symbol("halt", 5000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);
   EXPECT_EQ(device.machine().violation_count(), 0u);
@@ -123,11 +123,13 @@ class UpdateTest : public ::testing::Test {
         ".org 0xe000\nmain:\n    mov #0x1000, r1\nhalt:\n    jmp halt\n"
         ".vector 15, main\n.end\n",
         "app");
-    device_ = std::make_unique<core::Device>(build_);
+    device_ = std::make_unique<DeviceSession>(
+        "device", std::make_shared<const core::BuildResult>(build_),
+        standalone_policy(build_));
     // Receiver side is bound to the device's machine and monitor at
     // construction: there is no way to aim it at another machine.
     engine_ = std::make_unique<UpdateEngine>(key_span(), device_->machine(),
-                                             &device_->monitor());
+                                             device_->hw_monitor());
   }
 
   std::span<const uint8_t> key_span() const {
@@ -136,7 +138,7 @@ class UpdateTest : public ::testing::Test {
 
   std::vector<uint8_t> key_ = std::vector<uint8_t>(32, 0x77);
   core::BuildResult build_;
-  std::unique_ptr<core::Device> device_;
+  std::unique_ptr<DeviceSession> device_;
   std::unique_ptr<UpdateEngine> engine_;
 };
 
@@ -209,8 +211,8 @@ TEST_F(UpdateTest, WrongKeyRejected) {
 // per host. Updating one device must never advance (or be blocked by)
 // another device's version state.
 TEST_F(UpdateTest, VersionStateIsPerDevice) {
-  core::Device other(build_);
-  UpdateEngine other_engine(key_span(), other.machine(), &other.monitor());
+  DeviceSession other = standalone_session(build_);
+  UpdateEngine other_engine(key_span(), other.machine(), other.hw_monitor());
   UpdateAuthority authority(key_span());
 
   // Device A reaches version 3.

@@ -6,8 +6,8 @@
 #include "attacks/attack.h"
 #include "cfa/attestation.h"
 #include "cfa/cfg.h"
-#include "eilid/device.h"
 #include "eilid/pipeline.h"
+#include "standalone_session.h"
 
 namespace eilid::cfa {
 namespace {
@@ -43,7 +43,7 @@ TEST(Cfg, ExtractsSitesFromVulnGateway) {
 TEST(Cfa, LegalRunVerifiesAcrossReports) {
   const auto& app = apps::app_by_name("temp_sensor");
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device = standalone_session(build);
   CfaMonitor monitor(key(), {.log_capacity = 1u << 16});
   device.machine().add_monitor(&monitor);
   app.setup(device.machine());
@@ -63,7 +63,7 @@ TEST(Cfa, LegalRunVerifiesAcrossReports) {
 TEST(Cfa, LegalIsrRunVerifies) {
   const auto& app = apps::app_by_name("light_sensor");
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device = standalone_session(build);
   CfaMonitor monitor(key(), {.log_capacity = 1u << 16});
   device.machine().add_monitor(&monitor);
   app.setup(device.machine());
@@ -82,7 +82,7 @@ TEST(Cfa, LegalIsrRunVerifies) {
 TEST(Cfa, HijackDetectedInReplay) {
   const auto& app = apps::vuln_gateway();
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device = standalone_session(build);
   CfaMonitor monitor(key(), {.log_capacity = 1u << 16});
   device.machine().add_monitor(&monitor);
   uint16_t unlock = device.symbol("unlock");
@@ -101,7 +101,7 @@ TEST(Cfa, HijackDetectedInReplay) {
 TEST(Cfa, TamperedReportFailsMac) {
   const auto& app = apps::app_by_name("temp_sensor");
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device = standalone_session(build);
   CfaMonitor monitor(key(), {});
   device.machine().add_monitor(&monitor);
   app.setup(device.machine());
@@ -117,7 +117,7 @@ TEST(Cfa, TamperedReportFailsMac) {
 TEST(Cfa, WrongNonceFailsMac) {
   const auto& app = apps::app_by_name("temp_sensor");
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device = standalone_session(build);
   CfaMonitor monitor(key(), {});
   device.machine().add_monitor(&monitor);
   device.machine().run(2000);
@@ -129,7 +129,7 @@ TEST(Cfa, WrongNonceFailsMac) {
 TEST(Cfa, OverflowDropsAreCounted) {
   const auto& app = apps::app_by_name("charlieplexing");
   auto build = plain_build(app);
-  core::Device device(build);
+  DeviceSession device = standalone_session(build);
   CfaMonitor monitor(key(), {.log_capacity = 16});
   device.machine().add_monitor(&monitor);
   device.run_to_symbol("halt", 8 * app.cycle_budget);
@@ -143,7 +143,7 @@ TEST(Cfa, ResetMarkerResynchronisesReplay) {
   // marker and the verifier must resync (no false positive afterwards).
   const auto& app = apps::vuln_gateway();
   auto build = plain_build(app);
-  core::Device device(build);  // reboots after reset
+  DeviceSession device = standalone_session(build);  // reboots after reset
   CfaMonitor monitor(key(), {.log_capacity = 1u << 16});
   device.machine().add_monitor(&monitor);
   // Exploit redirecting into RAM: CASU W^X resets the device.

@@ -1,4 +1,4 @@
-// Predecoded-image layer: table construction, decode-cache coherence
+// Decoded-image layer: table construction, decode-cache coherence
 // (a kNone device that rewrites its own code must invalidate the table
 // and re-decode from memory with a bit-identical retired-instruction
 // trace), fleet-wide sharing of one table per build, and the
@@ -183,27 +183,31 @@ TEST(DecodedImage, SelfModifyingCodeInvalidatesAndRedecodes) {
   auto build = std::make_shared<const core::BuildResult>(
       core::build_app(kSelfPatchingSource, "selfpatch", {.eilid = false}));
 
-  auto run_one = [&](ExecutionEngine engine,
+  sim::Monitor pin;  // wants_step(): pins per-instruction dispatch
+  auto run_one = [&](ExecutionEngine engine, bool per_step,
                      TraceMonitor& trace) -> DeviceSession* {
     static int n = 0;
     auto* session = new DeviceSession(
         "selfmod-" + std::to_string(n++), build, EnforcementPolicy::kNone,
         {.engine = engine});
+    if (per_step) session->machine().add_monitor(&pin);
     session->machine().add_monitor(&trace);
     auto result = session->run_to_symbol("halt", 10000);
     EXPECT_EQ(result.cause, sim::StopCause::kBreakpoint);
     return session;
   };
 
+  // The cached arm is superblock pinned per-step. (The trace monitor
+  // wants every step too, so the block arm also steps here.)
   TraceMonitor cached_trace;
   TraceMonitor interp_trace;
   TraceMonitor block_trace;
   std::unique_ptr<DeviceSession> cached(
-      run_one(ExecutionEngine::kPredecoded, cached_trace));
+      run_one(ExecutionEngine::kSuperblock, true, cached_trace));
   std::unique_ptr<DeviceSession> interp(
-      run_one(ExecutionEngine::kInterpretive, interp_trace));
+      run_one(ExecutionEngine::kInterpretive, false, interp_trace));
   std::unique_ptr<DeviceSession> block(
-      run_one(ExecutionEngine::kSuperblock, block_trace));
+      run_one(ExecutionEngine::kSuperblock, false, block_trace));
 
   // The patch must have taken effect on all engines: stale decode would
   // leave r13 == 0 (and r12 == 2).
@@ -234,16 +238,18 @@ TEST(DecodedImage, CfaEvidenceIdenticalAcrossDecodePaths) {
   // superblock run has no tracer attached, so it genuinely exercises
   // block dispatch here.
   const auto& app = apps::app_by_name("charlieplexing");
-  auto run_one = [&](ExecutionEngine engine) {
+  sim::Monitor pin;  // wants_step(): pins per-instruction dispatch
+  auto run_one = [&](ExecutionEngine engine, bool per_step) {
     Fleet fleet;
     DeviceSession& dev = fleet.deploy(
         "cfa-trace",
         fleet.build(app.source, app.name, {.eilid = false}),
         EnforcementPolicy::kCfaBaseline,
         {.cfa = {.log_capacity = 1u << 17}, .engine = engine});
+    if (per_step) dev.machine().add_monitor(&pin);
     app.setup(dev.machine());
     dev.run_to_symbol("halt", 8 * app.cycle_budget);
-    if (engine == ExecutionEngine::kSuperblock) {
+    if (engine == ExecutionEngine::kSuperblock && !per_step) {
       EXPECT_GT(dev.machine().blocks_executed(), 0u);
     } else {
       EXPECT_EQ(dev.machine().blocks_executed(), 0u);
@@ -251,9 +257,9 @@ TEST(DecodedImage, CfaEvidenceIdenticalAcrossDecodePaths) {
     return dev.cfa_monitor()->take_report(/*nonce=*/1,
                                           dev.machine().cycles());
   };
-  cfa::Report cached = run_one(ExecutionEngine::kPredecoded);
-  cfa::Report interp = run_one(ExecutionEngine::kInterpretive);
-  cfa::Report block = run_one(ExecutionEngine::kSuperblock);
+  cfa::Report cached = run_one(ExecutionEngine::kSuperblock, true);
+  cfa::Report interp = run_one(ExecutionEngine::kInterpretive, false);
+  cfa::Report block = run_one(ExecutionEngine::kSuperblock, false);
   ASSERT_FALSE(cached.edges.empty());
   EXPECT_EQ(cached.edges, interp.edges);
   EXPECT_EQ(cached.dropped, interp.dropped);

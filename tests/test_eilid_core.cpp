@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "eilid/device.h"
 #include "eilid/inspect.h"
 #include "eilid/instrumenter.h"
 #include "eilid/pipeline.h"
 #include "eilid/rom_builder.h"
+#include "standalone_session.h"
 
 namespace eilid::core {
 namespace {
@@ -58,7 +58,7 @@ TEST(ShadowStack, StoreThenMatchingCheckPasses) {
     mov #0x1234, r6
     call #NS_EILID_check_ra
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   auto r = device.run_to_symbol("halt", 5000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);
   EXPECT_EQ(device.machine().violation_count(), 0u);
@@ -72,7 +72,7 @@ TEST(ShadowStack, MismatchResets) {
     mov #0x5678, r6
     call #NS_EILID_check_ra
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   auto r = device.machine().run(5000);
   EXPECT_EQ(r.cause, sim::StopCause::kDeviceReset);
   EXPECT_EQ(device.machine().resets().back().reason,
@@ -83,7 +83,7 @@ TEST(ShadowStack, UnderflowResets) {
   auto build = stub_app(R"(    mov #0x1234, r6
     call #NS_EILID_check_ra
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kShadowStackUnderflow);
@@ -98,7 +98,7 @@ ov_loop:
     dec r10
     jnz ov_loop
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().run(100000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kShadowStackOverflow);
@@ -110,7 +110,7 @@ TEST(ShadowStack, LifoOrderObservable) {
     mov #0x2222, r6
     call #NS_EILID_store_ra
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.run_to_symbol("halt", 5000);
   ShadowInspector inspector(device);
   ASSERT_EQ(inspector.depth(), 2u);
@@ -126,7 +126,7 @@ TEST(ShadowStack, RfiStoresAndChecksContextPair) {
     mov #0x0008, r7
     call #NS_EILID_check_rfi
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   auto r = device.run_to_symbol("halt", 5000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);
 }
@@ -139,7 +139,7 @@ TEST(ShadowStack, RfiSrMismatchResets) {
     mov #0x0000, r7
     call #NS_EILID_check_rfi
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kCfiRfiMismatch);
@@ -154,7 +154,7 @@ TEST(IndTable, RegisteredTargetPassesUnknownResets) {
     mov #0xe300, r6
     call #NS_EILID_check_ind
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kCfiIndirectCallViolation);
@@ -168,7 +168,7 @@ TEST(IndTable, LockPreventsLateRegistration) {
     mov #0xe300, r6
     call #NS_EILID_store_ind
 )");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kCfiIndirectCallViolation);
@@ -186,7 +186,7 @@ TEST(IndTable, FullTableResets) {
     call #NS_EILID_store_ind
 )",
                         cfg);
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kIndTableFull);
@@ -194,7 +194,7 @@ TEST(IndTable, FullTableResets) {
 
 TEST(EilidHw, ShadowMemoryUnreadableFromApp) {
   auto build = stub_app("    mov &0x2000, r10\n");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kSecureRamAccessViolation);
@@ -202,7 +202,7 @@ TEST(EilidHw, ShadowMemoryUnreadableFromApp) {
 
 TEST(EilidHw, ShadowMemoryUnwritableFromApp) {
   auto build = stub_app("    mov #0xdead, &0x2080\n");
-  Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason,
             ResetReason::kSecureRamAccessViolation);
@@ -226,7 +226,7 @@ TEST(EilidHw, MidStubEntryDispatchesSafely) {
   BuildResult b;
   b.rom = rom;
   b.app = masm::assemble_text(src, "sel");
-  Device device(b, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(b, /*halt_on_reset=*/true);
   device.machine().run(5000);
   EXPECT_EQ(device.machine().resets().back().reason, ResetReason::kBadSelector);
 }
@@ -240,7 +240,7 @@ TEST(EilidHw, LastStubIsLegalEntry) {
   BuildResult b;
   b.rom = rom;
   b.app = masm::assemble_text(src, "sel2");
-  Device device(b, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(b, /*halt_on_reset=*/true);
   auto r = device.run_to_symbol("halt", 5000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);
   EXPECT_EQ(device.machine().violation_count(), 0u);
@@ -337,7 +337,7 @@ TEST(Pipeline, ThreeIterationsConvergeAndLabelModeMatches) {
 TEST(Pipeline, PlainBuildHasNoRom) {
   BuildResult plain = build_app(kTinyApp, "tiny", {.eilid = false});
   EXPECT_EQ(plain.rom.unit.image.size_bytes(), 0u);
-  Device device(plain);
+  DeviceSession device = standalone_session(plain);
   EXPECT_FALSE(device.eilid_enabled());
   auto r = device.run_to_symbol("halt", 5000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);

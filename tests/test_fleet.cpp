@@ -5,8 +5,10 @@
 
 #include "apps/apps.h"
 #include "attacks/attack.h"
+#include "cfa/cfg.h"
 #include "common/error.h"
 #include "eilid/fleet.h"
+#include "sim/monitor.h"
 
 namespace eilid {
 namespace {
@@ -264,6 +266,72 @@ TEST(FleetPolicies, AttestingNonCfaSessionReportsUnattested) {
   EXPECT_TRUE(fleet.verifier().verify_all().empty());
 
   EXPECT_THROW(fleet.verifier().enroll(dev), FleetError);
+}
+
+// --------------------------------------------------------- build CFG
+
+void expect_same_cfg(const cfa::Cfg& got, const cfa::Cfg& want) {
+  EXPECT_EQ(got.code_addrs, want.code_addrs);
+  EXPECT_EQ(got.jump_edges, want.jump_edges);
+  ASSERT_EQ(got.call_sites.size(), want.call_sites.size());
+  for (const auto& [addr, site] : want.call_sites) {
+    auto it = got.call_sites.find(addr);
+    ASSERT_NE(it, got.call_sites.end()) << "call site " << addr;
+    EXPECT_EQ(it->second.indirect, site.indirect) << "call site " << addr;
+    EXPECT_EQ(it->second.target, site.target) << "call site " << addr;
+    EXPECT_EQ(it->second.return_addr, site.return_addr) << "call site " << addr;
+  }
+  EXPECT_EQ(got.ret_addrs, want.ret_addrs);
+  EXPECT_EQ(got.reti_addrs, want.reti_addrs);
+  EXPECT_EQ(got.call_targets, want.call_targets);
+  EXPECT_EQ(got.isr_entries, want.isr_entries);
+  EXPECT_EQ(got.reset_entry, want.reset_entry);
+}
+
+// build_app extracts the app's CFG once, on every return path: plain,
+// label-mode and three-iteration instrumented builds.
+TEST(BuildResultCfg, EveryBuildPathCarriesTheAppCfg) {
+  const auto& app = apps::vuln_gateway();
+  core::BuildOptions plain;
+  plain.eilid = false;
+  core::BuildOptions label;
+  label.instrument.label_mode = true;
+  const core::BuildResult builds[] = {
+      core::build_app(app.source, app.name, plain),
+      core::build_app(app.source, app.name, label),
+      core::build_app(app.source, app.name),
+  };
+  EXPECT_EQ(builds[0].iterations.size(), 1u);
+  EXPECT_EQ(builds[1].iterations.size(), 1u);
+  EXPECT_EQ(builds[2].iterations.size(), 3u);
+  for (const core::BuildResult& build : builds) {
+    ASSERT_NE(build.cfg, nullptr);
+    EXPECT_FALSE(build.cfg->call_sites.empty());
+    expect_same_cfg(*build.cfg, cfa::extract_cfg(build.app));
+  }
+}
+
+// A hand-assembled build (decoded table but no CFG) cannot enroll for
+// attestation: there is nothing to replay evidence against.
+TEST(BuildResultCfg, EnrollingBuildWithoutCfgThrowsTyped) {
+  core::BuildOptions plain;
+  plain.eilid = false;
+  core::BuildResult built = core::build_app(kTinyApp, "tiny", plain);
+  core::BuildResult hand;
+  hand.app = built.app;
+  hand.flat_image = built.flat_image;
+  hand.decoded_image = built.decoded_image;
+  auto build = std::make_shared<const core::BuildResult>(std::move(hand));
+
+  Fleet fleet;
+  EXPECT_THROW(
+      fleet.deploy("no-cfg", build, EnforcementPolicy::kCfaBaseline),
+      FleetError);
+  EXPECT_EQ(fleet.find("no-cfg"), nullptr);
+
+  DeviceSession standalone("no-cfg", build, EnforcementPolicy::kCfaBaseline);
+  EXPECT_THROW(fleet.verifier().enroll(standalone), FleetError);
+  EXPECT_FALSE(fleet.verifier().enrolled("no-cfg"));
 }
 
 // ----------------------------------------------------- verifier service
@@ -563,10 +631,10 @@ class TraceMonitor : public sim::Monitor {
   std::vector<Step> steps_;
 };
 
-// Across an update, the predecoded core (old table -> interpretive
-// window during the patch -> new build's table) and the pure
-// interpretive core retire bit-identical traces and produce identical
-// attestation verdicts.
+// Across an update, superblock pinned per-step (old table ->
+// interpretive window during the patch -> new build's table) and the
+// pure interpretive core retire bit-identical traces and produce
+// identical attestation verdicts.
 TEST(UpdateCampaignTest, PostUpdatePredecodedMatchesInterpretive) {
   struct VariantResult {
     std::vector<TraceMonitor::Step> steps;
@@ -576,12 +644,14 @@ TEST(UpdateCampaignTest, PostUpdatePredecodedMatchesInterpretive) {
     uint32_t seq = 0;
     size_t edges = 0;
   };
-  auto run_variant = [&](ExecutionEngine engine) {
+  sim::Monitor pin;  // wants_step(): pins per-instruction dispatch
+  auto run_variant = [&](ExecutionEngine engine, bool per_step) {
     Fleet fleet;
     SessionOptions options;
     options.engine = engine;
     DeviceSession& dev = fleet.provision(
         "dev", kFwV1, "fw", EnforcementPolicy::kCfaBaseline, options);
+    if (per_step) dev.machine().add_monitor(&pin);
     TraceMonitor trace;
     dev.machine().add_monitor(&trace);
     dev.run_to_symbol("halt", 100000);
@@ -602,9 +672,9 @@ TEST(UpdateCampaignTest, PostUpdatePredecodedMatchesInterpretive) {
     return r;
   };
 
-  VariantResult cached = run_variant(ExecutionEngine::kPredecoded);
-  VariantResult interp = run_variant(ExecutionEngine::kInterpretive);
-  VariantResult block = run_variant(ExecutionEngine::kSuperblock);
+  VariantResult cached = run_variant(ExecutionEngine::kSuperblock, true);
+  VariantResult interp = run_variant(ExecutionEngine::kInterpretive, false);
+  VariantResult block = run_variant(ExecutionEngine::kSuperblock, false);
   ASSERT_FALSE(cached.steps.empty());
   EXPECT_EQ(cached.steps, interp.steps);
   EXPECT_EQ(cached.tx, interp.tx);
@@ -619,6 +689,38 @@ TEST(UpdateCampaignTest, PostUpdatePredecodedMatchesInterpretive) {
   EXPECT_TRUE(block.verdict_ok);
   EXPECT_EQ(block.seq, interp.seq);
   EXPECT_EQ(block.edges, interp.edges);
+}
+
+// A default-engine session decodes from its build's own table and
+// dispatches superblocks from it after every (re)flash: construction,
+// power cycle, reflash and an update's build swap. With one table per
+// build there is no second table that could pair stale with the first
+// and silently turn block dispatch off.
+TEST(UpdateCampaignTest, DefaultEngineDispatchesBlocksAfterEveryFlash) {
+  Fleet fleet;
+  DeviceSession& dev =
+      fleet.provision("flash", kFwV1, "fw", EnforcementPolicy::kCfaBaseline);
+  auto expect_blocks = [&dev](const core::BuildResult& build,
+                              const char* when) {
+    EXPECT_EQ(dev.machine().cpu().decoded_image(), build.decoded_image.get())
+        << when;
+    const uint64_t before = dev.machine().blocks_executed();
+    dev.run(2000);
+    EXPECT_GT(dev.machine().blocks_executed(), before) << when;
+  };
+  const auto v1 = dev.shared_build();
+  expect_blocks(*v1, "after construction");
+  dev.power_cycle();
+  expect_blocks(*v1, "after power_cycle");
+  dev.reflash();
+  expect_blocks(*v1, "after reflash");
+
+  core::BuildOptions plain;
+  plain.eilid = false;
+  UpdateCampaign campaign = fleet.stage_update(kFwV2, "fw", plain);
+  ASSERT_EQ(campaign.apply_to(dev).result, UpdateResult::kApplied);
+  ASSERT_EQ(dev.shared_build(), campaign.target_build());
+  expect_blocks(*campaign.target_build(), "after adopt_build");
 }
 
 // A transition whose images differ outside PMEM (here: instrumented

@@ -6,7 +6,7 @@
 //   1. Paged memory is observationally identical to the old flat
 //      64 KiB array -- under random writes, resets, reflashes,
 //      wipe_volatile, base swaps and self-modifying code, across all
-//      three execution engines -- while a device's resident bytes stay
+//      three oracle arms -- while a device's resident bytes stay
 //      proportional to what it *dirtied*, not to the address space.
 //   2. Windowed slice-by-slice verification folds to verdicts
 //      bit-identical to the barrier verify_all() on the same evidence
@@ -28,6 +28,7 @@
 #include "eilid/incremental.h"
 #include "eilid/pipeline.h"
 #include "sim/memory_map.h"
+#include "sim/monitor.h"
 #include "sim/paged_memory.h"
 
 namespace eilid {
@@ -230,24 +231,28 @@ TEST(PagedMemoryTest, SessionResidentBytesStayNearSharedImageCost) {
   EXPECT_LE(dev.resident_memory_bytes(), resident);
 }
 
-// ------------------------------------------- three-engine differential
+// ---------------------------------------------- three-arm differential
 
 // Random write/reset/reflash/self-modify sequences must leave all
-// three engines in bit-identical states -- same retirement counts,
+// three oracle arms (interpretive, superblock pinned per-step,
+// superblock) in bit-identical states -- same retirement counts,
 // registers, and full memory image -- on the paged memory exactly as
 // they did on the flat array. kNone policy so self-modifying stores
 // are legal.
 TEST(PagedMemoryTest, EnginesStayBitIdenticalUnderResetsAndSelfModification) {
-  constexpr ExecutionEngine kEngines[] = {ExecutionEngine::kInterpretive,
-                                          ExecutionEngine::kPredecoded,
-                                          ExecutionEngine::kSuperblock};
+  constexpr std::pair<ExecutionEngine, bool> kArms[] = {
+      {ExecutionEngine::kInterpretive, false},
+      {ExecutionEngine::kSuperblock, true},  // pinned per-step
+      {ExecutionEngine::kSuperblock, false}};
+  sim::Monitor pin;  // wants_step(): pins per-instruction dispatch
   std::vector<std::unique_ptr<Fleet>> fleets;
   std::vector<DeviceSession*> devs;
-  for (ExecutionEngine engine : kEngines) {
+  for (auto [engine, per_step] : kArms) {
     auto fleet = std::make_unique<Fleet>();
     devs.push_back(&fleet->provision("d", firmware(0), "fw",
                                      EnforcementPolicy::kNone,
                                      {.engine = engine}));
+    if (per_step) devs.back()->machine().add_monitor(&pin);
     fleets.push_back(std::move(fleet));
   }
 

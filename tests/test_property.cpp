@@ -10,9 +10,9 @@
 #include "apps/apps.h"
 #include "attacks/attack.h"
 #include "common/rng.h"
-#include "eilid/device.h"
 #include "eilid/inspect.h"
 #include "eilid/pipeline.h"
+#include "standalone_session.h"
 
 namespace eilid {
 namespace {
@@ -100,7 +100,7 @@ TEST_P(LegalPrograms, NoFalsePositivesUnderEilid) {
   GeneratedProgram prog = generate(seed);
   core::BuildResult build = core::build_app(prog.source, "gen", {});
   EXPECT_TRUE(build.converged) << "seed " << seed;
-  core::Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   auto r = device.run_to_symbol("halt", 2000000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint)
       << "seed " << seed << " resets="
@@ -122,7 +122,7 @@ TEST_P(LegalPrograms, OriginalAndEilidComputeSameResult) {
     core::BuildOptions options;
     options.eilid = eilid;
     core::BuildResult build = core::build_app(prog.source, "gen", options);
-    core::Device device(build);
+    DeviceSession device = standalone_session(build);
     device.run_to_symbol("halt", 2000000);
     // Observable state: the RAM words the program writes.
     std::vector<uint16_t> ram;
@@ -146,7 +146,7 @@ TEST_P(CorruptedReturns, AlwaysCaughtBeforeUse) {
   uint64_t seed = GetParam();
   GeneratedProgram prog = generate(seed);
   core::BuildResult build = core::build_app(prog.source, "gen", {});
-  core::Device device(build, {.halt_on_reset = true});
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
 
   // Corrupt the freshly pushed return address at the entry of a random
   // function (at its first instruction [SP] holds the return address).

@@ -7,11 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
-#include "eilid/device.h"
 #include "eilid/pipeline.h"
 #include "isa/decoder.h"
 #include "isa/disasm.h"
 #include "masm/assembler.h"
+#include "standalone_session.h"
 
 namespace eilid {
 namespace {
@@ -67,7 +67,7 @@ TEST_P(MemIndexApps, RunCleanWithMemoryBackedIndex) {
   core::BuildOptions options;
   options.rom.memory_backed_index = true;
   core::BuildResult build = core::build_app(app.source, app.name, options);
-  core::Device device(build);
+  DeviceSession device = standalone_session(build);
   app.setup(device.machine());
   auto r = device.run_to_symbol("halt", 8 * app.cycle_budget);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint);

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
-#include "eilid/device.h"
 #include "eilid/pipeline.h"
+#include "standalone_session.h"
 
 namespace eilid {
 namespace {
@@ -17,7 +17,7 @@ TEST_P(SmokeTest, OriginalRunsToHalt) {
   core::BuildOptions opts;
   opts.eilid = false;
   core::BuildResult build = core::build_app(app.source, app.name, opts);
-  core::Device device(build);
+  DeviceSession device = standalone_session(build);
   app.setup(device.machine());
   auto run = device.run_to_symbol("halt", app.cycle_budget);
   EXPECT_EQ(run.cause, sim::StopCause::kBreakpoint)
@@ -30,7 +30,7 @@ TEST_P(SmokeTest, EilidRunsToHaltWithoutFalsePositives) {
   const auto& app = apps::app_by_name(GetParam());
   core::BuildResult build = core::build_app(app.source, app.name);
   EXPECT_TRUE(build.converged);
-  core::Device device(build);
+  DeviceSession device = standalone_session(build);
   app.setup(device.machine());
   auto run = device.run_to_symbol("halt", 4 * app.cycle_budget);
   ASSERT_EQ(run.cause, sim::StopCause::kBreakpoint)

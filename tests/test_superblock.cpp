@@ -1,14 +1,15 @@
 // Superblock execution engine: block-granular dispatch must be
 // architecturally invisible. Every case here runs the same program
-// under all three ExecutionEngines and demands bit-identical final
-// machine state (registers, cycles, retired instructions, reset log
-// and any RAM the program wrote) -- plus proof the superblock run
-// actually dispatched blocks, so the equality is not vacuous. The
-// cases target the block engine's hard edges: a store into the
-// currently executing block, an interrupt landing mid-block, the
-// decode boundary at the top of memory, an indirect branch into the
-// middle of another entry's run, and fleet-wide sharing of one
-// immutable BlockImage per build.
+// under all three oracle arms -- interpretive, superblock pinned
+// per-step by a plain sim::Monitor, superblock -- and demands
+// bit-identical final machine state (registers, cycles, retired
+// instructions, reset log and any RAM the program wrote) -- plus proof
+// the superblock run actually dispatched blocks, so the equality is
+// not vacuous. The cases target the block engine's hard edges: a
+// store into the currently executing block, an interrupt landing
+// mid-block, the decode boundary at the top of memory, an indirect
+// branch into the middle of another entry's run, and fleet-wide
+// sharing of one immutable decoded table per build.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,17 +21,42 @@
 #include "cfa/attestation.h"
 #include "eilid/fleet.h"
 #include "eilid/pipeline.h"
-#include "isa/block_image.h"
 #include "isa/decoded_image.h"
 #include "isa/encoder.h"
 #include "sim/memory_map.h"
+#include "sim/monitor.h"
 
 namespace eilid {
 namespace {
 
-constexpr ExecutionEngine kEngines[] = {ExecutionEngine::kInterpretive,
-                                        ExecutionEngine::kPredecoded,
-                                        ExecutionEngine::kSuperblock};
+// The oracle's three arms: the interpretive reference, superblock
+// pinned to per-instruction dispatch from the decoded table, and
+// superblock.
+struct Arm {
+  ExecutionEngine engine;
+  bool per_step;
+  const char* name;
+  bool dispatches_blocks() const {
+    return engine == ExecutionEngine::kSuperblock && !per_step;
+  }
+};
+constexpr Arm kArms[] = {
+    {ExecutionEngine::kInterpretive, false, "interpretive"},
+    {ExecutionEngine::kSuperblock, true, "superblock-per-step"},
+    {ExecutionEngine::kSuperblock, false, "superblock"},
+};
+
+sim::Monitor step_pin;  // wants_step(): pins per-instruction dispatch
+
+SessionOptions options_for(const Arm& arm) {
+  SessionOptions options;
+  options.engine = arm.engine;
+  return options;
+}
+
+void pin_arm(const Arm& arm, DeviceSession& dev) {
+  if (arm.per_step) dev.machine().add_monitor(&step_pin);
+}
 
 // Everything a program run can observably produce. RAM words to compare
 // are listed explicitly per case (ram_from, ram_words).
@@ -75,11 +101,10 @@ void expect_cfa_identical(std::shared_ptr<const core::BuildResult> build,
                           const char* tag, uint64_t budget) {
   std::vector<cfa::Report> reports;
   std::vector<FinalState> states;
-  for (ExecutionEngine engine : kEngines) {
-    DeviceSession dev(std::string(tag) + "-cfa-" +
-                          std::string(execution_engine_name(engine)),
-                      build, EnforcementPolicy::kCfaBaseline,
-                      {.engine = engine});
+  for (const Arm& arm : kArms) {
+    DeviceSession dev(std::string(tag) + "-cfa-" + arm.name, build,
+                      EnforcementPolicy::kCfaBaseline, options_for(arm));
+    pin_arm(arm, dev);
     dev.machine().set_halt_on_reset(true);
     dev.machine().run(budget);
     states.push_back(capture(dev.machine()));
@@ -123,22 +148,23 @@ donor:
 
 TEST(Superblock, SelfModifyingStoreIntoExecutingBlock) {
   auto build = build_of(kStoreIntoOwnBlock);
-  ASSERT_NE(build->block_image, nullptr);
+  ASSERT_NE(build->decoded_image, nullptr);
   // The victim sits mid-run: the suffix at main spans the store, the
   // victim and the jmp terminator.
-  const auto* entry = build->block_image->lookup(0xE000);
+  const auto* entry = build->decoded_image->lookup(0xE000);
   ASSERT_NE(entry, nullptr);
   EXPECT_GE(entry->span, 4u);
 
   std::vector<FinalState> states;
-  for (ExecutionEngine engine : kEngines) {
-    DeviceSession dev("selfmod-" + std::string(execution_engine_name(engine)),
-                      build, EnforcementPolicy::kNone, {.engine = engine});
+  for (const Arm& arm : kArms) {
+    DeviceSession dev(std::string("selfmod-") + arm.name, build,
+                      EnforcementPolicy::kNone, options_for(arm));
+    pin_arm(arm, dev);
     auto result = dev.run_to_symbol("halt", 10000);
     EXPECT_EQ(result.cause, sim::StopCause::kBreakpoint);
-    EXPECT_EQ(dev.machine().cpu().reg(12), 0) << execution_engine_name(engine);
-    EXPECT_EQ(dev.machine().cpu().reg(13), 2) << execution_engine_name(engine);
-    if (engine == ExecutionEngine::kSuperblock) {
+    EXPECT_EQ(dev.machine().cpu().reg(12), 0) << arm.name;
+    EXPECT_EQ(dev.machine().cpu().reg(13), 2) << arm.name;
+    if (arm.dispatches_blocks()) {
       EXPECT_GT(dev.machine().blocks_executed(), 0u);
       // The patched build table is stale for good: the device fell back
       // to interpretive decode at the patch and stays there.
@@ -202,13 +228,14 @@ timer_isr:
 TEST(Superblock, IrqDeliversAtTheExactMidBlockBoundary) {
   auto build = build_of(kIrqMidBlock);
   std::vector<FinalState> states;
-  for (ExecutionEngine engine : kEngines) {
-    DeviceSession dev("irq-" + std::string(execution_engine_name(engine)),
-                      build, EnforcementPolicy::kNone, {.engine = engine});
+  for (const Arm& arm : kArms) {
+    DeviceSession dev(std::string("irq-") + arm.name, build,
+                      EnforcementPolicy::kNone, options_for(arm));
+    pin_arm(arm, dev);
     auto result = dev.run_to_symbol("halt", 200000);
     EXPECT_EQ(result.cause, sim::StopCause::kBreakpoint);
-    EXPECT_EQ(dev.machine().cpu().reg(14), 40) << execution_engine_name(engine);
-    if (engine == ExecutionEngine::kSuperblock) {
+    EXPECT_EQ(dev.machine().cpu().reg(14), 40) << arm.name;
+    if (arm.dispatches_blocks()) {
       EXPECT_GT(dev.machine().blocks_executed(), 0u);
     }
     // 40 logged r12 snapshots, one per delivery.
@@ -243,12 +270,11 @@ TEST(Superblock, BlockEndsAtRangeBoundary) {
   }
   const isa::DecodedImage::Range range[] = {{0xFF00, 0xFF0A}};
   isa::DecodedImage decoded(memory, range);
-  isa::BlockImage blocks(decoded);
-  const auto* first = blocks.lookup(0xFF00);
+  const auto* first = decoded.lookup(0xFF00);
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->span, 6u);
   EXPECT_EQ(first->end, isa::BlockEnd::kRangeEnd);
-  const auto* last = blocks.lookup(0xFF0A);
+  const auto* last = decoded.lookup(0xFF0A);
   ASSERT_NE(last, nullptr);
   EXPECT_EQ(last->span, 1u);
   EXPECT_EQ(last->end, isa::BlockEnd::kRangeEnd);
@@ -276,14 +302,14 @@ top:
 TEST(Superblock, RunOffDecodedTailFaultsIdentically) {
   auto build = build_of(kRunsOffTheTop);
   std::vector<FinalState> states;
-  for (ExecutionEngine engine : kEngines) {
-    DeviceSession dev("top-" + std::string(execution_engine_name(engine)),
-                      build, EnforcementPolicy::kNone, {.engine = engine});
+  for (const Arm& arm : kArms) {
+    DeviceSession dev(std::string("top-") + arm.name, build,
+                      EnforcementPolicy::kNone, options_for(arm));
+    pin_arm(arm, dev);
     dev.machine().set_halt_on_reset(true);
     auto result = dev.machine().run(10000);
-    EXPECT_EQ(result.cause, sim::StopCause::kDeviceReset)
-        << execution_engine_name(engine);
-    if (engine == ExecutionEngine::kSuperblock) {
+    EXPECT_EQ(result.cause, sim::StopCause::kDeviceReset) << arm.name;
+    if (arm.dispatches_blocks()) {
       EXPECT_GT(dev.machine().blocks_executed(), 0u);
     }
     // Power-on plus exactly one illegal-instruction trap at 0xFFC8 (the
@@ -323,12 +349,12 @@ halt:
 
 TEST(Superblock, IndirectBranchToMidBlockPcDispatchesTheSuffix) {
   auto build = build_of(kIndirectToMidBlock);
-  ASSERT_NE(build->block_image, nullptr);
+  ASSERT_NE(build->decoded_image, nullptr);
   // blockstart = 0xE00C, midblock = 0xE00E (mov #imm,r1 and mov #imm,r10
   // are two words each; clr and br are one). The suffix at the landing
   // pc is strictly shorter than the leader's run that contains it.
-  const auto* leader = build->block_image->lookup(0xE00C);
-  const auto* suffix = build->block_image->lookup(0xE00E);
+  const auto* leader = build->decoded_image->lookup(0xE00C);
+  const auto* suffix = build->decoded_image->lookup(0xE00E);
   ASSERT_NE(leader, nullptr);
   ASSERT_NE(suffix, nullptr);
   EXPECT_EQ(leader->span, 4u);  // inc, inc, inc, jmp
@@ -336,14 +362,15 @@ TEST(Superblock, IndirectBranchToMidBlockPcDispatchesTheSuffix) {
   EXPECT_EQ(suffix->end, isa::BlockEnd::kTransfer);
 
   std::vector<FinalState> states;
-  for (ExecutionEngine engine : kEngines) {
-    DeviceSession dev("mid-" + std::string(execution_engine_name(engine)),
-                      build, EnforcementPolicy::kNone, {.engine = engine});
+  for (const Arm& arm : kArms) {
+    DeviceSession dev(std::string("mid-") + arm.name, build,
+                      EnforcementPolicy::kNone, options_for(arm));
+    pin_arm(arm, dev);
     auto result = dev.run_to_symbol("halt", 10000);
     EXPECT_EQ(result.cause, sim::StopCause::kBreakpoint);
     // The first inc (blockstart) was skipped: only the suffix ran.
-    EXPECT_EQ(dev.machine().cpu().reg(12), 2) << execution_engine_name(engine);
-    if (engine == ExecutionEngine::kSuperblock) {
+    EXPECT_EQ(dev.machine().cpu().reg(12), 2) << arm.name;
+    if (arm.dispatches_blocks()) {
       EXPECT_GT(dev.machine().blocks_executed(), 0u);
     }
     states.push_back(capture(dev.machine()));
@@ -358,10 +385,10 @@ TEST(Superblock, IndirectBranchToMidBlockPcDispatchesTheSuffix) {
 
 // ------------------------------------------------- fleet-wide sharing
 
-TEST(Superblock, FleetSharesOneBlockImagePerBuild) {
+TEST(Superblock, FleetSharesOneDecodedTablePerBuild) {
   Fleet fleet;
   auto build = fleet.build(kIndirectToMidBlock, "shared", {.eilid = false});
-  ASSERT_NE(build->block_image, nullptr);
+  ASSERT_NE(build->decoded_image, nullptr);
 
   std::vector<DeviceSession*> devices;
   for (int i = 0; i < 4; ++i) {
@@ -372,8 +399,8 @@ TEST(Superblock, FleetSharesOneBlockImagePerBuild) {
   }
   for (DeviceSession* dev : devices) {
     // One immutable table per build -- every session points at it.
-    EXPECT_EQ(dev->machine().cpu().block_image(), build->block_image.get());
-    EXPECT_EQ(dev->build().block_image.get(), build->block_image.get());
+    EXPECT_EQ(dev->machine().cpu().decoded_image(), build->decoded_image.get());
+    EXPECT_EQ(dev->build().decoded_image.get(), build->decoded_image.get());
   }
   // Interpretive reference plus every shared-table device agree on the
   // complete final state, and each shared device genuinely dispatched
