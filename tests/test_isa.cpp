@@ -128,6 +128,10 @@ struct RoundTripCase {
   Instruction insn;
 };
 
+// Without this gtest prints the case as raw bytes, pointer included, so
+// the listed test name would change from one process to the next.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
+
 class RoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(RoundTrip, EncodeDecodeEncode) {
