@@ -12,12 +12,15 @@ using namespace eilid;
 
 namespace {
 
-// Captures every PC the device fetches, annotated by ROM section.
+// Captures every PC the device fetches, annotated by ROM section. It
+// keeps the default wants_step() (true): section changes inside one
+// predecoded range are only visible with a hook on every fetch.
 class FlowTracer : public sim::Monitor {
  public:
   FlowTracer(const core::RomInfo& rom) : rom_(rom) {}
 
-  bool on_fetch(uint16_t pc) override {
+  bool on_fetch(uint16_t pc, uint16_t prev_pc) override {
+    (void)prev_pc;
     const char* section = "app";
     if (pc >= rom_.entry_start && pc <= rom_.entry_end) {
       section = "entry";

@@ -38,7 +38,8 @@ void AttackEngine::fire(const Attack& attack) {
   last_fire_cycle_ = machine_.cycles();
 }
 
-bool AttackEngine::on_fetch(uint16_t pc) {
+bool AttackEngine::on_fetch(uint16_t pc, uint16_t prev_pc) {
+  (void)prev_pc;
   for (size_t i = 0; i < attacks_.size(); ++i) {
     if (done_[i]) continue;
     const auto& a = attacks_[i];

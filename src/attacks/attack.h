@@ -56,8 +56,10 @@ class AttackEngine : public sim::Monitor {
   // Machine cycle at which the most recent attack fired.
   uint64_t last_fire_cycle() const { return last_fire_cycle_; }
 
-  // sim::Monitor
-  bool on_fetch(uint16_t pc) override;
+  // sim::Monitor. Triggers fire on one exact PC, so the engine needs
+  // every fetch: it keeps the default wants_step() (true), which pins
+  // its machine to per-instruction execution.
+  bool on_fetch(uint16_t pc, uint16_t prev_pc) override;
   void on_device_reset() override {}  // attacks do not re-arm after reset
 
  private:

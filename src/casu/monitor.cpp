@@ -22,27 +22,23 @@ sim::ResetReason CasuMonitor::map_violation_code(uint16_t code) {
   }
 }
 
-bool CasuMonitor::on_fetch(uint16_t pc) {
+bool CasuMonitor::on_fetch(uint16_t pc, uint16_t prev_pc) {
   // W^X: executable regions are PMEM and secure ROM only.
   if (!sim::is_pmem(pc) && !in_rom(pc)) {
     return violate(ResetReason::kDmemExecViolation);
   }
 
-  if (config_.rom_present && prev_fetch_valid_) {
+  if (config_.rom_present) {
     const bool now_rom = in_rom(pc);
-    const bool was_rom = in_rom(prev_fetch_pc_);
+    const bool was_rom = in_rom(prev_pc);
     if (now_rom && !was_rom &&
         !(pc >= config_.entry_start && pc <= config_.entry_end)) {
-      prev_fetch_pc_ = pc;
       return violate(ResetReason::kRomEntryViolation);
     }
-    if (!now_rom && was_rom && !in_leave(prev_fetch_pc_)) {
-      prev_fetch_pc_ = pc;
+    if (!now_rom && was_rom && !in_leave(prev_pc)) {
       return violate(ResetReason::kRomExitViolation);
     }
   }
-  prev_fetch_pc_ = pc;
-  prev_fetch_valid_ = true;
   return true;
 }
 
@@ -79,7 +75,6 @@ bool CasuMonitor::on_write(uint16_t addr, uint16_t value, bool byte, uint16_t pc
 void CasuMonitor::on_device_reset() {
   violation_.reset();
   update_session_ = false;
-  prev_fetch_valid_ = false;
 }
 
 bool CasuMonitor::allow_interrupt(uint16_t current_pc) {

@@ -9,6 +9,11 @@
 //   - key isolation: the device key region is readable only by ROM.
 // Violations latch a ResetReason and deny the access; the machine then
 // resets the device -- CASU's enforcement action.
+//
+// The fetch rules are functions of the regions of two consecutive
+// fetches (prev_pc, pc), handed over by the CPU, so the monitor keeps
+// no fetch state and the block core may skip the fetches between ROM /
+// PMEM range crossings (see sim::BusWatcher::on_fetch).
 #ifndef EILID_CASU_MONITOR_H
 #define EILID_CASU_MONITOR_H
 
@@ -46,13 +51,14 @@ class CasuMonitor : public sim::Monitor {
   const CasuConfig& config() const { return config_; }
 
   // --- sim::Monitor interface ---
-  bool on_fetch(uint16_t pc) override;
+  bool on_fetch(uint16_t pc, uint16_t prev_pc) override;
   bool on_read(uint16_t addr, uint16_t pc) override;
   bool on_write(uint16_t addr, uint16_t value, bool byte, uint16_t pc) override;
   // All CASU enforcement snoops the bus (per-access hooks above);
-  // per-instruction retire callouts are never consumed, so CASU-policed
-  // devices stay eligible for superblock dispatch.
+  // neither retire nor transfer callouts are consumed, so CASU-policed
+  // devices run the chained block core and pay no callout per block.
   bool wants_step() const override { return false; }
+  bool wants_transfers() const override { return false; }
   std::optional<sim::ResetReason> pending_violation() const override {
     return violation_;
   }
@@ -99,8 +105,6 @@ class CasuMonitor : public sim::Monitor {
   CasuConfig config_;
   std::optional<sim::ResetReason> violation_;
   bool update_session_ = false;
-  uint16_t prev_fetch_pc_ = 0;
-  bool prev_fetch_valid_ = false;
 };
 
 }  // namespace eilid::casu

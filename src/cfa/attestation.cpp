@@ -159,6 +159,7 @@ bool CfaVerifier::replay_edge(const LoggedEdge& edge) {
   }
   if (edge.irq) {
     if (cfg_->isr_entries.count(edge.to) == 0) return false;
+    if (!stack_fits(2)) return false;
     irq_stack_.push_back(edge.from);  // resume point
     return true;
   }
@@ -172,6 +173,7 @@ bool CfaVerifier::replay_edge(const LoggedEdge& edge) {
     } else if (call->second.target != edge.to) {
       return false;
     }
+    if (!stack_fits(1)) return false;
     call_stack_.push_back(call->second.return_addr);
     return true;
   }

@@ -7,6 +7,7 @@
 #ifndef EILID_CFA_ATTESTATION_H
 #define EILID_CFA_ATTESTATION_H
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -155,6 +156,14 @@ class CfaVerifier {
   // interrupt frames) persists across reports.
   Result verify(const Report& report, uint64_t nonce);
 
+  // Bound on replay state, in device stack words: a call pushes one
+  // return word and an interrupt entry two (PC and SR), as on the
+  // device, whose whole 64 KiB address space holds 32768 words.
+  // Evidence nesting deeper than that cannot come from a real device;
+  // the edge that would exceed it fails the path check (first_bad), so
+  // adversarial evidence costs the verifier bounded memory.
+  static constexpr size_t kMaxStackWords = 0x10000 / 2;
+
   // Discard replay state (stacks and staged epoch swaps). The current
   // CFG is kept: it reflects what code the device runs now, which a
   // replay restart does not change.
@@ -171,6 +180,11 @@ class CfaVerifier {
 
  private:
   bool replay_edge(const LoggedEdge& edge);
+  // Whether `words` more stack words still fit under kMaxStackWords.
+  bool stack_fits(size_t words) const {
+    return call_stack_.size() + 2 * irq_stack_.size() + words <=
+           kMaxStackWords;
+  }
 
   std::shared_ptr<const Cfg> cfg_;
   crypto::Digest key_;

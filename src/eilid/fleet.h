@@ -18,8 +18,9 @@
 //     do. SessionOptions.engine selects kInterpretive or kSuperblock
 //     (the default) per session; traces, final state and CFA evidence
 //     are bit-identical across both, and across superblock pinned to
-//     per-step dispatch by a wants_step() monitor (the bench and
-//     tests/test_superblock.cpp gate all three),
+//     per-step dispatch by a wants_step() monitor
+//     (tests/test_engine_oracle.cpp and tests/test_superblock.cpp gate
+//     all three),
 //   - a device registry provisioning N DeviceSessions from cached
 //     builds, each wired per its EnforcementPolicy,
 //   - a VerifierService multiplexing attestation across sessions with

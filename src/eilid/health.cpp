@@ -134,8 +134,10 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
         if (verdict.ok()) {
           record.last_ok_tick = due;
           record.ever_ok = true;
-          record.convicted = false;
         } else {
+          // Latched until note_remediated: a later clean beat (an empty
+          // report from a device nobody ran) must not hide a conviction
+          // from the HealthMonitor pass that follows this sweep.
           record.convicted = true;
         }
         record.next_due += options_.period;

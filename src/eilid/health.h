@@ -18,8 +18,8 @@
 //     freshness record, the current tick and the policy (property-
 //     tested: no hidden state, same inputs -> same verdict). A device
 //     is quarantined when its last clean verdict is older than the
-//     staleness threshold (stale or missing announcements) or when its
-//     most recent evidence convicted it.
+//     staleness threshold (stale or missing announcements) or when any
+//     evidence since its last remediation convicted it.
 //   - HealthMonitor: owns the scheduler, a latched quarantine set, and
 //     an optional staged remediation campaign. run_until() advances
 //     fleet time, fires due heartbeats, quarantines stale/convicted
@@ -111,7 +111,9 @@ struct FreshnessRecord {
                                     // any evidence)
   bool ever_attested = false;
   bool ever_ok = false;
-  bool convicted = false;  // most recent evidence convicted the device
+  // Evidence convicted the device since it was last remediated.
+  // Latched: later clean verdicts do not clear it, note_remediated does.
+  bool convicted = false;
 
   bool operator==(const FreshnessRecord&) const = default;
 };
@@ -178,7 +180,7 @@ class HeartbeatScheduler {
 enum class QuarantineReason : uint8_t {
   kNone,       // healthy: fresh, clean evidence
   kStale,      // announcements stale or missing past the threshold
-  kConvicted,  // most recent evidence convicted the device
+  kConvicted,  // evidence since the last remediation convicted it
   // Terminal: automated remediation was tried max_heal_attempts times
   // over the device's lifetime (across releases and re-quarantines) and
   // the device still is not healthy. The monitor stops spending

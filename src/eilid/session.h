@@ -60,12 +60,14 @@ std::string_view enforcement_policy_name(EnforcementPolicy policy);
 //     stale),
 //   kSuperblock   -- block-granular dispatch from the build's shared
 //     decoded table: one bounds/generation check and one batched
-//     cycle/tick account per straight-line run, with interrupt
-//     delivery re-checked at block boundaries (a mid-block IRQ horizon
-//     refuses the block, so delivery still lands at the architecturally
-//     correct instruction). Whenever a wants_step() monitor is attached
-//     (a tracer), it steps one instruction at a time from the same
-//     table instead.
+//     cycle/tick account per straight-line run, chained block to block
+//     under every enforcement policy, with interrupt delivery
+//     re-checked at block boundaries (a mid-block IRQ horizon refuses
+//     the block, so delivery still lands at the architecturally
+//     correct instruction). Monitors see it at block granularity (see
+//     sim/monitor.h). Whenever a wants_step() monitor is attached (a
+//     tracer), it steps one instruction at a time from the same table
+//     instead.
 // Any store at or above the code floor invalidates the shared table
 // (Bus::code_generation) and drops the device to interpretive decode
 // until a fresh table is attached -- the self-modifying-code rule that

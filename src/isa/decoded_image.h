@@ -89,6 +89,10 @@ class DecodedImage {
   };
 
   // Inclusive code region to predecode; `first`/`last` must be even.
+  // Block dispatch runs the bus's fetch rules only where execution
+  // crosses from one range into another (sim::BusWatcher::on_fetch),
+  // so a range must not straddle a memory-region boundary: the build
+  // predecodes secure ROM and PMEM as two ranges.
   struct Range {
     uint16_t first;
     uint16_t last;

@@ -47,9 +47,9 @@ bool Bus::check_write(uint16_t addr, uint16_t value, bool byte, uint16_t pc) {
   return true;
 }
 
-bool Bus::notify_fetch_slow(uint16_t pc) {
+bool Bus::notify_fetch_slow(uint16_t pc, uint16_t prev_pc) {
   for (auto* w : watchers_) {
-    if (!w->on_fetch(pc)) {
+    if (!w->on_fetch(pc, prev_pc)) {
       access_denied_ = true;
       return false;
     }

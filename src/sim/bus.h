@@ -72,9 +72,23 @@ class Peripheral {
 class BusWatcher {
  public:
   virtual ~BusWatcher() = default;
-  // Instruction fetch beginning at pc (fires once per instruction).
-  virtual bool on_fetch(uint16_t pc) {
+  // Instruction fetch beginning at pc. `prev_pc` is the previous fetch
+  // since the last reset (pc itself for the first fetch after one), so
+  // a rule about transitions between regions needs no state of its own.
+  //
+  // Granularity: per-instruction execution fires this for every fetch.
+  // Block dispatch (Cpu::run_block) fires it only at a run's first
+  // fetch and wherever a chained run crosses from one predecoded range
+  // into another; in between, every fetch stays inside the range of the
+  // last checked one. The build's predecoded ranges are exactly secure
+  // ROM and PMEM, so a rule that is a function of the region classes of
+  // (prev_pc, pc) -- CASU's W^X and ROM entry/exit rules -- cannot trip
+  // on a skipped fetch. A watcher that needs every fetch (a trigger on
+  // one PC, a tracer) must be a sim::Monitor claiming wants_step(),
+  // which pins its machine to per-instruction execution.
+  virtual bool on_fetch(uint16_t pc, uint16_t prev_pc) {
     (void)pc;
+    (void)prev_pc;
     return true;
   }
   virtual bool on_read(uint16_t addr, uint16_t pc) {
@@ -134,9 +148,10 @@ class Bus {
     mem_.write(addr, value);
   }
 
-  // Instruction-fetch notification; false if a watcher denied it.
-  bool notify_fetch(uint16_t pc) {
-    return watchers_.empty() || notify_fetch_slow(pc);
+  // Instruction-fetch notification; false if a watcher denied it. See
+  // BusWatcher::on_fetch for `prev_pc` and when the CPU calls this.
+  bool notify_fetch(uint16_t pc, uint16_t prev_pc) {
+    return watchers_.empty() || notify_fetch_slow(pc, prev_pc);
   }
 
   bool access_denied() const { return access_denied_; }
@@ -170,7 +185,6 @@ class Bus {
 
   // --- Wiring. ---
   void add_watcher(BusWatcher* watcher) { watchers_.push_back(watcher); }
-  bool has_watchers() const { return !watchers_.empty(); }
   void add_peripheral(Peripheral* peripheral);
   void tick_peripherals(uint64_t cycles) {
     bool irq_moved = false;
@@ -287,7 +301,7 @@ class Bus {
   }
   bool check_read(uint16_t addr, uint16_t pc);
   bool check_write(uint16_t addr, uint16_t value, bool byte, uint16_t pc);
-  bool notify_fetch_slow(uint16_t pc);
+  bool notify_fetch_slow(uint16_t pc, uint16_t prev_pc);
   uint16_t periph_read_word(uint16_t addr);
   uint8_t periph_read_byte(uint16_t addr);
   void periph_write(uint16_t addr, uint16_t value);

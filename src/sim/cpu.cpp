@@ -12,6 +12,7 @@ namespace sr = isa::sr;
 void Cpu::power_on_reset() {
   regs_.fill(0);
   regs_[isa::kPC] = bus_.raw_word(kResetVectorAddr);
+  prev_fetch_pc_ = regs_[isa::kPC];
 }
 
 void Cpu::set_reg(int i, uint16_t v) {
@@ -286,20 +287,18 @@ void Cpu::exec_single(const isa::Instruction& insn, uint16_t insn_pc) {
   write_at(ref, byte && insn.op != Opcode::kSxt, result);
 }
 
-void Cpu::exec_jump(const isa::Decoded& decoded) {
-  bool taken = false;
-  switch (decoded.insn.op) {
-    case Opcode::kJnz: taken = !flag(sr::kZ); break;
-    case Opcode::kJz: taken = flag(sr::kZ); break;
-    case Opcode::kJnc: taken = !flag(sr::kC); break;
-    case Opcode::kJc: taken = flag(sr::kC); break;
-    case Opcode::kJn: taken = flag(sr::kN); break;
-    case Opcode::kJge: taken = flag(sr::kN) == flag(sr::kV); break;
-    case Opcode::kJl: taken = flag(sr::kN) != flag(sr::kV); break;
-    case Opcode::kJmp: taken = true; break;
-    default: break;
+bool Cpu::jump_taken(Opcode op) const {
+  switch (op) {
+    case Opcode::kJnz: return !flag(sr::kZ);
+    case Opcode::kJz: return flag(sr::kZ);
+    case Opcode::kJnc: return !flag(sr::kC);
+    case Opcode::kJc: return flag(sr::kC);
+    case Opcode::kJn: return flag(sr::kN);
+    case Opcode::kJge: return flag(sr::kN) == flag(sr::kV);
+    case Opcode::kJl: return flag(sr::kN) != flag(sr::kV);
+    case Opcode::kJmp: return true;
+    default: return false;
   }
-  if (taken) regs_[isa::kPC] = decoded.jump_target();
 }
 
 std::optional<isa::Decoded> Cpu::interpret_decode(uint16_t pc) const {
@@ -328,7 +327,9 @@ StepOutcome Cpu::step() {
     entry = image_->lookup(cur_pc_);
   }
 
-  if (!bus_.notify_fetch(cur_pc_)) {
+  const bool fetched = bus_.notify_fetch(cur_pc_, prev_fetch_pc_);
+  prev_fetch_pc_ = cur_pc_;
+  if (!fetched) {
     out.status = StepStatus::kDenied;
     // Monitors still receive the fall-through of the instruction that
     // *would* have executed (matches the pre-refactor monitors, which
@@ -379,7 +380,7 @@ StepOutcome Cpu::step() {
       exec_single(decoded.insn, cur_pc_);
       break;
     case isa::Format::kJump:
-      exec_jump(decoded);
+      if (jump_taken(decoded.insn.op)) regs_[isa::kPC] = decoded.jump_target();
       break;
   }
 
@@ -392,7 +393,7 @@ StepOutcome Cpu::step() {
 }
 
 BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
-                        bool chain) {
+                        std::span<Monitor* const> transfer_monitors) {
   BlockRun out;
   // One validity check for the whole run, where step() pays one per
   // instruction.
@@ -402,8 +403,8 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
   uint16_t pc = regs_[isa::kPC];
   const isa::DecodedImage::RangeTable* range = image_->range_of(pc);
   if (range == nullptr) return out;
-  // The dispatch entry's suffix fields describe the whole run; `entry`
-  // then walks the run's instructions.
+  // The dispatch entry's suffix fields describe the whole block;
+  // `entry` then walks the block's instructions.
   const isa::DecodedImage::Entry* entry = &range->at(pc);
   if (entry->span == 0) return out;
   // Interrupt horizon: if a tick-driven source could assert within this
@@ -420,10 +421,6 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
 
   out.executed = true;
   ++blocks_executed_;
-  const bool watched = bus_.has_watchers();
-  // Watchers need their denial handled block-by-block, and any monitor
-  // needing a transfer callout already cleared `chain` in the machine.
-  chain = chain && !watched;
   bus_.clear_access_denied();
   bus_.clear_periph_touched();
   const uint64_t generation = bus_.code_generation();
@@ -435,9 +432,13 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
   uint16_t last_pc = pc;
   uint16_t last_next = entry->next_address;
   uint16_t remaining = entry->span;
+  // Fetch checks: the run's first fetch against the last fetch before
+  // it, later ones only where the chain crosses into another range
+  // (against the terminator that crossed). Within a range no region
+  // rule can trip -- see BusWatcher::on_fetch.
+  bool fetched = bus_.notify_fetch(pc, prev_fetch_pc_);
   for (;;) {
-    cur_pc_ = pc;
-    if (watched && !bus_.notify_fetch(pc)) {
+    if (!fetched) {
       // Same contract as step(): nothing retires, no cycles, monitors
       // get the fall-through of the instruction that would have run.
       out.status = StepStatus::kDenied;
@@ -445,6 +446,7 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
       last_next = entry->next_address;
       break;
     }
+    cur_pc_ = pc;
     regs_[isa::kPC] = entry->next_address;
     switch (entry->format) {
       case isa::Format::kDouble:
@@ -453,14 +455,9 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
       case isa::Format::kSingle:
         exec_single(entry->insn, pc);
         break;
-      case isa::Format::kJump: {
-        isa::Decoded decoded;
-        decoded.insn = entry->insn;
-        decoded.address = pc;
-        decoded.size_words = entry->size_words;
-        exec_jump(decoded);
+      case isa::Format::kJump:
+        if (jump_taken(entry->insn.op)) regs_[isa::kPC] = entry->target;
         break;
-      }
     }
     // Accrue after exec: a peripheral access *inside* this instruction
     // observes the debt of prior instructions only, exactly the state
@@ -471,42 +468,50 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
     ++steps;
     last_pc = pc;
     last_next = entry->next_address;
-    if (watched && bus_.access_denied()) {
+    if (bus_.access_denied()) {
       out.status = StepStatus::kDenied;  // retired, then denied mid-exec
       break;
     }
     if (--remaining == 0) {
-      // Terminator retired; PC is wherever it put it. Without chaining
-      // the machine takes over (monitor callout, IRQ dispatch). With it
-      // we re-dispatch here, after the same checks a fresh dispatch
-      // would make -- reti/SR-restoring terminators may have flipped
-      // GIE or CPUOFF, so both are re-read from the live SR.
-      if (!chain) break;
+      // Terminator retired; PC is wherever it put it. Re-dispatch here
+      // after the same checks a fresh dispatch would make -- reti and
+      // SR-writing terminators may have flipped GIE or CPUOFF, so both
+      // are re-read from the live SR. Any break leaves the terminator
+      // as the run's final instruction, for the machine to report.
       if (bus_.code_generation() != generation) break;
       if (bus_.periph_touched()) break;
       if (spent >= cycle_budget) break;
       pc = regs_[isa::kPC];
       if (pc == breakpoint_pc) break;
       if (cpu_off()) break;
-      // Chained transfers overwhelmingly land in the range they left:
-      // a taken direct jump's static target (Entry::target) lives in
-      // the same contiguous flash range as the branch, as do call/ret
-      // targets in single-range images. Re-probe the current range
-      // first and fall back to the range scan only on a genuine
-      // cross-range transfer, so the hot chain path costs one bounds
-      // compare instead of a walk over every range.
-      if (!range->contains(pc)) {
+      // Chained transfers overwhelmingly land in the range they left,
+      // so re-probe the current range first and fall back to the range
+      // scan only on a genuine crossing.
+      const bool crossed = !range->contains(pc);
+      if (crossed) {
         range = image_->range_of(pc);
         if (range == nullptr) break;
       }
       entry = &range->at(pc);
       if (entry->span == 0) break;
-      if (gie() &&
-          bus_.cycles_until_irq() <= entry->block_cycles + bus_.tick_debt()) {
+      // A line already pending (one that only register access or host
+      // stimulus raises has no tick horizon) must be delivered before
+      // the next instruction, as step_once would.
+      if (gie() && (bus_.pending_irq() >= 0 ||
+                    bus_.cycles_until_irq() <=
+                        entry->block_cycles + bus_.tick_debt())) {
         break;
+      }
+      // Committed to the next block: the terminator is not the final
+      // instruction after all, so its transfer is reported here.
+      if (pc != last_next) {
+        for (Monitor* m : transfer_monitors) {
+          m->on_control_transfer(last_pc, pc, last_next);
+        }
       }
       ++blocks_executed_;
       remaining = entry->span;
+      if (crossed) fetched = bus_.notify_fetch(pc, last_pc);
       continue;
     }
     // Interior instructions are sequential by construction (no control
@@ -519,6 +524,7 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
     if (pc == breakpoint_pc) break;    // host breakpoint pauses before it
     if (spent >= cycle_budget) break;  // run() budget exhausted
   }
+  prev_fetch_pc_ = last_pc;
   out.cycles = spent;
   out.steps = steps;
   out.last_pc = last_pc;

@@ -11,11 +11,13 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "isa/decoded_image.h"
 #include "isa/decoder.h"
 #include "isa/registers.h"
 #include "sim/bus.h"
+#include "sim/monitor.h"
 
 namespace eilid::sim {
 
@@ -35,12 +37,13 @@ struct StepOutcome {
   uint16_t next_pc = 0;
 };
 
-// Result of one superblock dispatch (Cpu::run_block).
+// Result of one block-core dispatch (Cpu::run_block): a chain of one
+// or more superblocks.
 struct BlockRun {
-  // False when the fast path was unavailable (no valid decoded table at
-  // the current PC, an IRQ could assert or deliver mid-block, a
-  // violation already latched): nothing executed, the caller must take
-  // the per-instruction path. All other fields are meaningless.
+  // False when the block core could not start at the current PC (no
+  // valid decoded table there, or an IRQ could assert within the first
+  // block): nothing executed, the caller must take the per-instruction
+  // path. All other fields are meaningless.
   bool executed = false;
   StepStatus status = StepStatus::kOk;
   uint64_t cycles = 0;  // total cycles retired by the run
@@ -59,27 +62,33 @@ class Cpu {
   // Execute a single instruction.
   StepOutcome step();
 
-  // Execute one straight-line run (superblock) starting at the current
-  // PC: one table lookup and one generation/IRQ-budget check up front,
-  // then a tight retire loop with batched cycle accounting (cycles are
-  // accrued to the bus's tick debt and flushed at block exit, so any
-  // mid-block peripheral register access still observes exact time).
-  // The run ends early -- always at an instruction boundary, and every
-  // PC is itself a valid block entry, so nothing is lost -- when:
+  // Execute a chain of straight-line runs (superblocks) starting at the
+  // current PC: one table lookup and one generation/IRQ-budget check per
+  // block, then a tight retire loop with batched cycle accounting
+  // (cycles are accrued to the bus's tick debt, which is settled before
+  // any peripheral register access, so mid-run accesses still observe
+  // exact time). After a block's terminator retires, the run re-dispatches
+  // from wherever PC landed, after the same checks a fresh dispatch
+  // makes. It ends -- always at an instruction boundary, and every PC
+  // is itself a valid block entry, so nothing is lost -- when:
   //   - the next instruction sits at `breakpoint_pc` (host breakpoint),
   //   - retired cycles reach `cycle_budget` (run() budget exhaustion),
   //   - a store invalidated the code generation (self-modifying code:
   //     the very next instruction must re-decode from memory),
   //   - a peripheral register was touched (interrupt state may have
   //     changed instantly),
-  //   - a watcher denied an access (status kDenied, device will reset).
-  // With `chain` set (the machine passes it when no monitor needs a
-  //  per-transfer callout) and no bus watchers attached, the run keeps
-  //  going across block boundaries: after a terminator retires it
-  //  re-dispatches from wherever PC landed, re-checking the same
-  //  refusal conditions (generation, peripheral touch, CPUOFF, IRQ
-  //  horizon, breakpoint, budget) that gate a fresh dispatch.
-  BlockRun run_block(uint16_t breakpoint_pc, uint64_t cycle_budget, bool chain);
+  //   - a watcher denied a fetch or an access (status kDenied, the
+  //     device will reset) -- at the same instruction as per-step,
+  //   - a terminator left PC outside the table, on an undecodable
+  //     slot, in low-power mode, or where an interrupt could assert or
+  //     deliver within the next block.
+  // Monitor visibility is block-granular (see sim/monitor.h): the fetch
+  // hook fires at run entry and on range crossings only, with the last
+  // fetched PC as its predecessor, and every chained-past terminator
+  // that transfers control is reported to `transfer_monitors`. The
+  // final instruction is the caller's to report (BlockRun::last_pc).
+  BlockRun run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
+                     std::span<Monitor* const> transfer_monitors);
 
   uint64_t blocks_executed() const { return blocks_executed_; }
 
@@ -128,29 +137,41 @@ class Cpu {
   // Interpretive decode of the instruction at `pc` from backing memory.
   std::optional<isa::Decoded> interpret_decode(uint16_t pc) const;
 
-  uint16_t read_src(const isa::Operand& op, bool byte);
-  DstRef resolve_dst(const isa::Operand& op);
-  uint16_t read_at(const DstRef& ref, bool byte);
-  void write_at(const DstRef& ref, bool byte, uint16_t value);
+  // Operand and flag helpers: they run inside every retired instruction
+  // of the block loop, so they are forced inline there (defined in
+  // cpu.cpp, their only user) instead of costing a call per operand.
+  [[gnu::always_inline]] inline uint16_t read_src(const isa::Operand& op,
+                                                  bool byte);
+  [[gnu::always_inline]] inline DstRef resolve_dst(const isa::Operand& op);
+  [[gnu::always_inline]] inline uint16_t read_at(const DstRef& ref, bool byte);
+  [[gnu::always_inline]] inline void write_at(const DstRef& ref, bool byte,
+                                              uint16_t value);
   void push_word(uint16_t value);
   uint16_t pop_word();
 
   void exec_double(const isa::Instruction& insn);
   void exec_single(const isa::Instruction& insn, uint16_t insn_pc);
-  void exec_jump(const isa::Decoded& decoded);
+  // Condition of a jump-format instruction against the live flags.
+  bool jump_taken(isa::Opcode op) const;
 
   void set_flag(uint16_t bit, bool on);
   // Replace all four status bits in one SR update (every ALU op writes
   // all four; doing it as four read-modify-writes was measurable in
   // the block-dispatch hot loop).
-  void set_nzcv(bool n, bool z, bool c, bool v);
+  [[gnu::always_inline]] inline void set_nzcv(bool n, bool z, bool c, bool v);
   bool flag(uint16_t bit) const { return (sr() & bit) != 0; }
   // Flag helper for add-with-carry style ops (sub is add of ~src).
-  uint16_t add_and_flags(uint16_t a, uint16_t b, unsigned carry_in, bool byte);
+  [[gnu::always_inline]] inline uint16_t add_and_flags(uint16_t a, uint16_t b,
+                                                       unsigned carry_in,
+                                                       bool byte);
 
   Bus& bus_;
   std::array<uint16_t, isa::kNumRegs> regs_{};
   uint16_t cur_pc_ = 0;  // pc of the executing instruction (bus attribution)
+  // The CPU's own previous-fetch register, handed to the fetch hook so
+  // region-transition rules need no per-watcher state. Reset points it
+  // at the reset PC: the first fetch after a reset is no transition.
+  uint16_t prev_fetch_pc_ = 0;
   uint64_t instructions_retired_ = 0;
   std::shared_ptr<const isa::DecodedImage> image_;
   uint64_t image_generation_ = 0;

@@ -21,10 +21,12 @@ void Machine::add_monitor(Monitor* monitor) {
   bus_.add_watcher(monitor);
   // Tracers and other per-step consumers can attach mid-life (the
   // bench bolts a trace fingerprint onto an already-deployed device);
-  // recompute the step subset so block dispatch stands down for them.
+  // recompute the subsets so block dispatch stands down for them.
   step_monitors_.clear();
+  transfer_monitors_.clear();
   for (auto* m : monitors_) {
     if (m->wants_step()) step_monitors_.push_back(m);
+    if (m->wants_transfers()) transfer_monitors_.push_back(m);
   }
 }
 
@@ -75,6 +77,7 @@ void Machine::do_reset(ResetReason reason, uint16_t pc) {
 
 bool Machine::step_once() {
   reset_this_step_ = false;
+  ++dispatches_;
   // Settle any tick debt left by preceding superblocks: the IRQ check
   // below and this step's own tick must observe exact peripheral time.
   bus_.flush_ticks();
@@ -142,11 +145,14 @@ void Machine::notify_retire(uint16_t from_pc, uint16_t to_pc,
   for (auto* m : step_monitors_) m->on_step(from_pc, to_pc, fallthrough);
   if (to_pc != fallthrough) {
     // Non-sequential transfer (or a faulted fetch, where to == from !=
-    // fallthrough). Fires under every engine: interior instructions of
-    // a superblock are sequential by construction, so only its final
-    // instruction can reach here -- the same edges per-step execution
+    // fallthrough). Fires under every engine: the block core reports
+    // the terminators it chains past itself, and interior instructions
+    // are sequential by construction, so only a run's final
+    // instruction reaches here -- the same edges per-step execution
     // reports.
-    for (auto* m : monitors_) m->on_control_transfer(from_pc, to_pc, fallthrough);
+    for (auto* m : transfer_monitors_) {
+      m->on_control_transfer(from_pc, to_pc, fallthrough);
+    }
   }
 }
 
@@ -166,13 +172,12 @@ bool Machine::try_run_block(uint16_t breakpoint_pc, uint64_t cycle_budget) {
   // Violations latched outside stepping (update-engine auth failures /
   // rollback) reset after exactly one more instruction interpretively;
   // keep that timing.
-  if (!monitors_.empty() && first_pending_violation()) return false;
+  if (first_pending_violation()) return false;
 
-  // With no monitors attached at all there is nobody to notify per
-  // control transfer, so the CPU may chain blocks internally and only
-  // surface at observation points.
-  BlockRun run = cpu_.run_block(breakpoint_pc, cycle_budget, monitors_.empty());
+  BlockRun run =
+      cpu_.run_block(breakpoint_pc, cycle_budget, transfer_monitors_);
   if (!run.executed) return false;
+  ++dispatches_;
   reset_this_step_ = false;
   cycles_ += run.cycles;
   if (run.steps > 0 || run.status == StepStatus::kDenied) {

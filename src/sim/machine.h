@@ -84,16 +84,24 @@ class Machine {
     return resets_.empty() ? 0 : resets_.size() - 1;
   }
 
-  // How many superblocks the run loop dispatched (fast-path engagement
-  // telemetry; the differential tests assert this is nonzero under the
-  // superblock engine and zero when it is pinned per-step or absent).
+  // How many superblocks the block core executed, chained or not
+  // (fast-path engagement telemetry; the differential tests assert this
+  // is nonzero under the superblock engine and zero when it is pinned
+  // per-step or absent).
   uint64_t blocks_executed() const { return cpu_.blocks_executed(); }
+
+  // How many times the run loop dispatched: block-core entries (each
+  // may chain many blocks) plus per-step fallbacks (one instruction,
+  // interrupt entry or idle chunk each). Every policy runs the same
+  // chained core, so monitors that veto nothing leave it unchanged.
+  uint64_t dispatches() const { return dispatches_; }
 
  private:
   // Steps one instruction or services one interrupt; returns false when
   // the device is idle (CPU off, nothing pending).
   bool step_once();
-  // Attempts one superblock dispatch at the current PC. Returns false
+  // Attempts one block-core dispatch (Cpu::run_block, which chains
+  // blocks until an observation point) at the current PC. Returns false
   // (nothing happened; caller must step_once) when block dispatch is
   // unavailable: no valid decoded table, a monitor wants per-step
   // callouts, an interrupt is pending and deliverable, the CPU is off,
@@ -101,7 +109,8 @@ class Machine {
   bool try_run_block(uint16_t breakpoint_pc, uint64_t cycle_budget);
   // Retire notification shared by both execution paths: per-step
   // callouts go only to monitors that want them; the control-transfer
-  // callout fires for every monitor whenever to_pc != fallthrough.
+  // callout fires for every transfer consumer whenever
+  // to_pc != fallthrough.
   void notify_retire(uint16_t from_pc, uint16_t to_pc, uint16_t fallthrough);
   void do_reset(ResetReason reason, uint16_t pc);
   bool interrupts_allowed(uint16_t pc) const;
@@ -118,9 +127,11 @@ class Machine {
   Ultrasonic ranger_;
   Lcd lcd_;
   std::vector<Monitor*> monitors_;
-  std::vector<Monitor*> step_monitors_;  // subset with wants_step()
+  std::vector<Monitor*> step_monitors_;      // subset with wants_step()
+  std::vector<Monitor*> transfer_monitors_;  // subset with wants_transfers()
   std::vector<ResetEvent> resets_;
   uint64_t cycles_ = 0;
+  uint64_t dispatches_ = 0;
   bool halt_on_reset_ = false;
   bool reset_this_step_ = false;
 };

@@ -2,23 +2,33 @@
 // plus PC-transition and interrupt visibility. CASU and EILID hardware
 // are implemented against this interface; so is the test tracer.
 //
-// Two granularities of PC visibility exist since the superblock core:
+// Block-dispatch contract. The paper's monitors snoop CPU signals in
+// parallel with the core; the simulator charges them only where their
+// rules can fire. Under the superblock engine every policy runs the
+// same chained block core (Cpu::run_block), and a monitor sees:
 //
-//   - on_control_transfer: fired for every *non-sequential* transfer
-//     (to_pc != fallthrough), at instruction granularity, under every
-//     execution engine. This is the notification integrity evidence is
-//     built from (CfaMonitor consumes nothing else -- LO-FAT-style
-//     monitors only ever observe transfers), and the block core emits
-//     it bit-identically: a straight-line run's interior instructions
-//     are all sequential by construction, so only its terminator can
-//     transfer.
-//   - on_step: fired after *every* retired instruction, but only for
-//     monitors that declare wants_step(). Any such monitor (the test
-//     tracers) forces the machine onto the per-instruction path --
-//     full-rate visibility and superblock dispatch are mutually
-//     exclusive by design, which is exactly why enforcement monitors
-//     must not claim it (CasuMonitor and CfaMonitor return false; all
-//     their enforcement lives in bus hooks and transfer events).
+//   - bus hooks (on_read / on_write) on every data access, inside the
+//     block loop. A denial ends the run at that instruction, exactly
+//     where the per-instruction core would stop.
+//   - on_fetch at a run's first fetch and at every crossing between
+//     predecoded ranges (secure ROM, PMEM) -- see BusWatcher::on_fetch
+//     for why region rules cannot trip in between.
+//   - on_control_transfer for every *non-sequential* transfer
+//     (to_pc != fallthrough), under every engine, but only on monitors
+//     whose wants_transfers() is true. Interior instructions of a
+//     straight-line run are sequential by construction, so only block
+//     terminators can transfer: the chain loop fires it for each
+//     terminator it chains past, and Machine::notify_retire for the
+//     final one. The edge stream is therefore the one per-instruction
+//     execution reports. It is an observation: a monitor must not deny
+//     or latch a violation from it (enforcement goes through the bus
+//     hooks), because the chain does not stop to ask.
+//   - on_step after *every* retired instruction, only on monitors that
+//     declare wants_step(). Any such monitor (tracers, AttackEngine's
+//     PC triggers, which need every fetch) pins the machine to
+//     per-instruction execution -- full-rate visibility and block
+//     dispatch are mutually exclusive by design, which is why the
+//     enforcement monitors do not claim it.
 #ifndef EILID_SIM_MONITOR_H
 #define EILID_SIM_MONITOR_H
 
@@ -58,11 +68,16 @@ class Monitor : public BusWatcher {
   // Whether this monitor needs on_step after every retired instruction.
   // True (the compatible default) pins the machine to per-instruction
   // execution; monitors that only consume transfers must return false
-  // or they silently veto superblock dispatch for the whole device. A
-  // plain sim::Monitor observes nothing and keeps this default, so the
+  // or they silently veto block dispatch for the whole device. A plain
+  // sim::Monitor observes nothing and keeps this default, so the
   // differential oracles attach one to pin a superblock session to
   // per-instruction dispatch from the same decoded table.
   virtual bool wants_step() const { return true; }
+
+  // Whether this monitor consumes on_control_transfer. Monitors that
+  // return false (CASU: its rules live in the bus hooks) are skipped
+  // on every transfer, inside the block chain and per step alike.
+  virtual bool wants_transfers() const { return true; }
 
   // Fired after each retired instruction with the PC transition --
   // only for monitors whose wants_step() is true. `fallthrough` is the
@@ -77,8 +92,9 @@ class Monitor : public BusWatcher {
   }
 
   // Fired for every non-sequential transfer (to_pc != fallthrough),
-  // under every engine, for every monitor. Same arguments as on_step;
-  // sequential steps are never reported here.
+  // under every engine, for every monitor whose wants_transfers() is
+  // true. Same arguments as on_step; sequential steps are never
+  // reported here. Must not latch a violation (see the contract above).
   virtual void on_control_transfer(uint16_t from_pc, uint16_t to_pc,
                                    uint16_t fallthrough) {
     (void)from_pc;

@@ -164,5 +164,88 @@ TEST(Cfa, ResetMarkerResynchronisesReplay) {
   EXPECT_EQ(result.first_bad->to, 0x0300);
 }
 
+// ------------------------------------------------ bounded replay state
+
+// Two self-recursive call sites: `rec: call #rec` at 0xE010 and a
+// second `call #rec` at 0xE020, so the overflowing edge is tellable
+// from the ones before it. 0xE100 is an ISR entry.
+constexpr LoggedEdge kRecurse{0xE010, 0xE010};
+constexpr LoggedEdge kLastCall{0xE020, 0xE010};
+constexpr LoggedEdge kIrq{0xE010, 0xE100, true};
+
+Cfg recursion_cfg() {
+  Cfg cfg;
+  cfg.call_sites[0xE010] = {false, 0xE010, 0xE014};
+  cfg.call_sites[0xE020] = {false, 0xE010, 0xE024};
+  cfg.isr_entries.insert(0xE100);
+  return cfg;
+}
+
+Report signed_report(std::vector<LoggedEdge> edges, uint64_t nonce,
+                     uint32_t seq = 0) {
+  Report r;
+  r.seq = seq;
+  r.edges = std::move(edges);
+  r.mac = CfaMonitor::mac_report(key(), nonce, r);
+  return r;
+}
+
+// `calls` recursive calls, then `last`.
+std::vector<LoggedEdge> nest(size_t calls, LoggedEdge last) {
+  std::vector<LoggedEdge> edges(calls, kRecurse);
+  edges.push_back(last);
+  return edges;
+}
+
+constexpr size_t kBound = CfaVerifier::kMaxStackWords;
+static_assert(kBound == 32768);
+
+TEST(CfaReplayBound, NestingThatFillsTheAddressSpaceVerifies) {
+  // Just below the bound, then exactly at it: both plausible.
+  for (size_t depth : {kBound - 1, kBound}) {
+    CfaVerifier verifier(recursion_cfg(), key());
+    auto result =
+        verifier.verify(signed_report(nest(depth - 1, kLastCall), 7), 7);
+    EXPECT_TRUE(result.mac_ok) << depth;
+    EXPECT_TRUE(result.path_ok) << depth;
+  }
+  // An interrupt frame takes two words: 32766 calls + 1 frame fit.
+  CfaVerifier verifier(recursion_cfg(), key());
+  auto result = verifier.verify(signed_report(nest(kBound - 2, kIrq), 7), 7);
+  EXPECT_TRUE(result.path_ok);
+}
+
+TEST(CfaReplayBound, NestingPastTheAddressSpaceFailsAtTheOverflowingEdge) {
+  {
+    CfaVerifier verifier(recursion_cfg(), key());
+    auto result = verifier.verify(signed_report(nest(kBound, kLastCall), 7), 7);
+    EXPECT_TRUE(result.mac_ok);
+    EXPECT_FALSE(result.path_ok);
+    ASSERT_TRUE(result.first_bad.has_value());
+    EXPECT_EQ(*result.first_bad, kLastCall);
+  }
+  {
+    // The frame's second word is the one that does not fit.
+    CfaVerifier verifier(recursion_cfg(), key());
+    auto result = verifier.verify(signed_report(nest(kBound - 1, kIrq), 7), 7);
+    EXPECT_FALSE(result.path_ok);
+    ASSERT_TRUE(result.first_bad.has_value());
+    EXPECT_EQ(*result.first_bad, kIrq);
+  }
+  {
+    // Replay state persists across reports, and so does the bound: a
+    // full stack from one report overflows on the next report's call.
+    CfaVerifier verifier(recursion_cfg(), key());
+    auto first =
+        verifier.verify(signed_report(nest(kBound - 1, kRecurse), 7), 7);
+    EXPECT_TRUE(first.path_ok);
+    auto second = verifier.verify(signed_report({kLastCall}, 8, 1), 8);
+    EXPECT_TRUE(second.mac_ok);
+    EXPECT_FALSE(second.path_ok);
+    ASSERT_TRUE(second.first_bad.has_value());
+    EXPECT_EQ(*second.first_bad, kLastCall);
+  }
+}
+
 }  // namespace
 }  // namespace eilid::cfa

@@ -436,6 +436,50 @@ TEST(SelfHealingTest, PooledHealthRunBitIdenticalToSerial) {
   EXPECT_TRUE(serial.second == pooled.second);
 }
 
+// One pass spanning several beats (period < pass span): the beat at
+// 100 convicts dev-01, and the beats at 200 and 300 judge empty reports
+// -- nobody ran the device -- which verify clean. The conviction must
+// still quarantine the device at the end of the pass: a later clean
+// verdict may not clear it before the pass assesses the record.
+TEST(SelfHealingTest, ConvictionLatchesAcrossLaterCleanBeatsInOnePass) {
+  auto run = [](bool pooled) {
+    auto fleet = std::make_unique<Fleet>();
+    provision_fleet(*fleet, 3);
+    diverge_out_of_band(*fleet, device_id(1));
+    HealthMonitor health(*fleet, {.heartbeat = {.period = 100},
+                                  .policy = {.staleness_threshold = 1000}});
+    HealthReport report;
+    if (pooled) {
+      common::ThreadPool pool(4);
+      report = health.run_until(300, pool);
+    } else {
+      report = health.run_until(300);
+    }
+    // The trigger: one convicting beat followed by clean ones.
+    EXPECT_EQ(report.heartbeats.beats.size(), 3u);
+    for (const HeartbeatBeat& beat : report.heartbeats.beats) {
+      for (const auto& verdict : beat.verdicts) {
+        const bool convicts =
+            verdict.device_id == device_id(1) && beat.tick == 100;
+        EXPECT_EQ(verdict.ok(), !convicts)
+            << verdict.device_id << " @ " << beat.tick;
+      }
+    }
+    EXPECT_TRUE(health.scheduler().record(device_id(1)).convicted);
+    EXPECT_EQ(health.scheduler().record(device_id(1)).last_ok_tick, 300u);
+    return std::make_pair(std::move(report), health.quarantined());
+  };
+  const auto serial = run(false);
+  ASSERT_EQ(serial.first.newly_quarantined.size(), 1u);
+  EXPECT_EQ(serial.first.newly_quarantined[0].device_id, device_id(1));
+  EXPECT_EQ(serial.first.newly_quarantined[0].reason,
+            QuarantineReason::kConvicted);
+  EXPECT_EQ(serial.first.quarantined_after, 1u);
+  const auto pooled = run(true);
+  EXPECT_TRUE(serial.first == pooled.first);
+  EXPECT_TRUE(serial.second == pooled.second);
+}
+
 // ----------------------------------------------------------- escalation
 
 TEST(EscalationTest, UnreachableDeviceEscalatesAfterMaxAttempts) {

@@ -125,8 +125,7 @@ TEST(DifferentialCorpus, BoundedCorpusRunsCleanAcrossEnginesAndPolicies) {
   // The CI-bounded corpus: every generated program across 3 engines x
   // 4 policies with bit-identical state + evidence, pooled == serial
   // sweeps, every mutated case convicted or refused. The full-size
-  // sweep (500 programs / 24 mutation seeds) runs as
-  // `bench_fuzz_soak --smoke` in the release-bench CI job.
+  // smoke corpus is pinned exactly below.
   DifferentialHarness harness;  // defaults: 24 programs, 16 mutation seeds
   const HarnessReport report = harness.run();
   for (const std::string& failure : report.failures) {
@@ -141,6 +140,27 @@ TEST(DifferentialCorpus, BoundedCorpusRunsCleanAcrossEnginesAndPolicies) {
   EXPECT_GT(report.convicted, 0);
   EXPECT_GT(report.refused, 0);
   EXPECT_EQ(report.convicted + report.refused, report.mutation_cases);
+}
+
+TEST(DifferentialCorpus, SmokeCorpusCountsAreExact) {
+  // `bench_fuzz_soak --smoke`'s corpus (base seed 1, 500 programs, 24
+  // mutation seeds), with every count pinned: the harness is fully
+  // deterministic, so a change that moves any verdict -- a mutated case
+  // flipping between convicted and refused, a mutator planning fewer
+  // cases, an engine diverging -- fails here instead of in a bench log.
+  HarnessOptions options;
+  options.programs = 500;
+  options.mutations = 24;
+  const HarnessReport report = DifferentialHarness(options).run();
+  for (const std::string& failure : report.failures) {
+    ADD_FAILURE() << failure;
+  }
+  EXPECT_EQ(report.programs, 500);
+  EXPECT_EQ(report.engine_runs, 6000);
+  EXPECT_EQ(report.mutation_cases, 335);
+  EXPECT_EQ(report.convicted, 23);
+  EXPECT_EQ(report.refused, 312);
+  EXPECT_TRUE(report.failures.empty());
 }
 
 TEST(DifferentialCorpus, SingleSeedReproducesDeterministically) {

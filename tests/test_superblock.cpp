@@ -18,6 +18,7 @@
 #include <tuple>
 #include <vector>
 
+#include "apps/apps.h"
 #include "cfa/attestation.h"
 #include "eilid/fleet.h"
 #include "eilid/pipeline.h"
@@ -252,6 +253,60 @@ TEST(Superblock, IrqDeliversAtTheExactMidBlockBoundary) {
   expect_cfa_identical(build, "irq", 150000);
 }
 
+// A line that ticking cannot raise -- the UART receive interrupt,
+// asserted the moment its enable bit is written while a byte waits --
+// pends while GIE is clear. The `eint` terminator then makes it
+// deliverable, and the per-instruction core takes it before the next
+// instruction. A block chain that consulted only the tick horizon ran
+// on into `spin` and delivered it late (or, reaching `halt` first,
+// never): the ISR's snapshot of r12 and its run flag pin the boundary.
+const char* kPendingLineBeforeEint = R"(.equ UART_RX, 0x0132
+.equ UART_STAT, 0x0134
+.org 0xE000
+main:
+    mov #0x1000, r1
+    mov #4, &UART_STAT
+    clr r12
+    eint
+spin:
+    inc r12
+    inc r12
+    cmp #20, r12
+    jnz spin
+    dint
+halt:
+    jmp halt
+uart_isr:
+    mov r12, &0x0300
+    mov #1, &0x0302
+    mov &UART_RX, r9
+    mov #0, &UART_STAT
+    reti
+.vector 15, main
+.vector 6, uart_isr
+)";
+
+TEST(Superblock, PendingLineIsDeliveredRightAfterEint) {
+  auto build = build_of(kPendingLineBeforeEint);
+  std::vector<FinalState> states;
+  for (const Arm& arm : kArms) {
+    DeviceSession dev(std::string("eint-") + arm.name, build,
+                      EnforcementPolicy::kNone, options_for(arm));
+    pin_arm(arm, dev);
+    dev.machine().uart().feed(std::string("x"));
+    auto result = dev.run_to_symbol("halt", 10000);
+    EXPECT_EQ(result.cause, sim::StopCause::kBreakpoint) << arm.name;
+    if (arm.dispatches_blocks()) {
+      EXPECT_GT(dev.machine().blocks_executed(), 0u);
+    }
+    states.push_back(capture(dev.machine(), 0x0300, 2));
+  }
+  // Delivered before the first `inc`, exactly once.
+  EXPECT_EQ(states[0].ram, (std::vector<uint16_t>{0, 1}));
+  EXPECT_EQ(states[1], states[0]);
+  EXPECT_EQ(states[2], states[0]);
+}
+
 // ------------------------------------------------- top-of-memory bound
 
 TEST(Superblock, BlockEndsAtRangeBoundary) {
@@ -381,6 +436,48 @@ TEST(Superblock, IndirectBranchToMidBlockPcDispatchesTheSuffix) {
   // The indirect edge (br r10 -> midblock) must appear in the evidence
   // with the same from/to under block dispatch as interpretively.
   expect_cfa_identical(build, "mid", 10000);
+}
+
+// ------------------------------------------ dispatches under monitors
+
+// Enforcement costs no dispatches: CASU's fetch rules run at run entry
+// and range crossings and the CFA log is fed from inside the chain, so
+// on an uninstrumented build (no ROM, no deferred interrupts) a
+// monitored device takes exactly the dispatch path of a bare one --
+// same block-core entries, same per-step fallbacks, same blocks.
+TEST(Superblock, MonitoredPoliciesDispatchExactlyAsOftenAsBare) {
+  constexpr EnforcementPolicy kMonitored[] = {EnforcementPolicy::kCasu,
+                                              EnforcementPolicy::kCfaBaseline};
+  for (const apps::AppSpec& app : apps::table4_apps()) {
+    auto build = std::make_shared<const core::BuildResult>(
+        core::build_app(app.source, app.name, {.eilid = false}));
+    auto run = [&](EnforcementPolicy policy) {
+      auto dev = std::make_unique<DeviceSession>(
+          app.name + "-" + std::string(enforcement_policy_name(policy)),
+          build, policy, SessionOptions{});
+      const apps::WorkloadOutcome out = apps::run_workload(*dev, app);
+      EXPECT_TRUE(out.reached_halt) << app.name;
+      EXPECT_EQ(out.violations, 0u) << app.name;
+      return dev;
+    };
+    auto bare = run(EnforcementPolicy::kNone);
+    sim::Machine& ref = bare->machine();
+    EXPECT_GT(ref.blocks_executed(), 0u) << app.name;
+    // The chain really chains: fewer dispatches than blocks.
+    EXPECT_LT(ref.dispatches(), ref.blocks_executed()) << app.name;
+    for (EnforcementPolicy policy : kMonitored) {
+      auto dev = run(policy);
+      sim::Machine& m = dev->machine();
+      const std::string tag =
+          app.name + " / " + std::string(enforcement_policy_name(policy));
+      EXPECT_EQ(m.dispatches(), ref.dispatches()) << tag;
+      EXPECT_EQ(m.blocks_executed(), ref.blocks_executed()) << tag;
+      EXPECT_EQ(m.cpu().instructions_retired(),
+                ref.cpu().instructions_retired())
+          << tag;
+      EXPECT_EQ(m.cycles(), ref.cycles()) << tag;
+    }
+  }
 }
 
 // ------------------------------------------------- fleet-wide sharing
