@@ -990,15 +990,27 @@ WorkloadOutcome run_workload(DeviceSession& session, const AppSpec& app,
   return out;
 }
 
-std::vector<WorkloadOutcome> run_workload_all(
-    const std::vector<FleetWorkload>& items, common::ThreadPool& pool) {
+namespace {
+
+// The one body behind run_workload_all and wave_workload: each item's
+// workload under its session lock, serially (null pool) or pooled,
+// outcomes in input order.
+std::vector<WorkloadOutcome> run_each(const std::vector<FleetWorkload>& items,
+                                      common::ThreadPool* pool) {
   std::vector<WorkloadOutcome> outcomes(items.size());
-  pool.parallel_for(items.size(), [&](size_t i) {
+  common::for_each_index(pool, items.size(), [&](size_t i) {
     const FleetWorkload& item = items[i];
     std::lock_guard<std::mutex> lock(item.session->mutex());
     outcomes[i] = run_workload(*item.session, *item.app, item.cycle_budget);
   });
   return outcomes;
+}
+
+}  // namespace
+
+std::vector<WorkloadOutcome> run_workload_all(
+    const std::vector<FleetWorkload>& items, common::ThreadPool& pool) {
+  return run_each(items, &pool);
 }
 
 eilid::WaveProbe wave_workload(const AppSpec& app, uint64_t cycle_budget) {
@@ -1007,19 +1019,12 @@ eilid::WaveProbe wave_workload(const AppSpec& app, uint64_t cycle_budget) {
   // reference would dangle for any non-static AppSpec.
   return [spec = app, cycle_budget](const std::vector<DeviceSession*>& wave,
                                     common::ThreadPool* pool) {
-    if (pool != nullptr) {
-      std::vector<FleetWorkload> items;
-      items.reserve(wave.size());
-      for (DeviceSession* session : wave) {
-        items.push_back({session, &spec, cycle_budget});
-      }
-      run_workload_all(items, *pool);
-      return;
-    }
+    std::vector<FleetWorkload> items;
+    items.reserve(wave.size());
     for (DeviceSession* session : wave) {
-      std::lock_guard<std::mutex> lock(session->mutex());
-      run_workload(*session, spec, cycle_budget);
+      items.push_back({session, &spec, cycle_budget});
     }
+    run_each(items, pool);
   };
 }
 

@@ -84,7 +84,7 @@ std::vector<WorkloadOutcome> run_workload_all(
 // the wave's apply and its attestation gate, so freshly updated
 // devices produce post-update evidence for the gate to judge. Takes
 // each session's mutex() while driving it (per the WaveProbe
-// contract); with a pool the wave fans out via run_workload_all(),
+// contract); with a pool the wave fans out like run_workload_all(),
 // serially each device runs in membership order -- either way the
 // devices' resulting state is identical. The spec is copied into the
 // probe, so a temporary AppSpec is safe to pass.

@@ -45,13 +45,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    try {
-      task();
-    } catch (...) {
-      // A fire-and-forget task has nobody to rethrow to; letting the
-      // exception escape would std::terminate the process. parallel_for
-      // tasks never get here (they capture and rethrow to the caller).
-    }
+    task();  // parallel_for tasks catch their own exceptions
   }
 }
 
@@ -98,6 +92,15 @@ void ThreadPool::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
   std::unique_lock<std::mutex> lock(sweep.mu);
   sweep.done_cv.wait(lock, [&sweep] { return sweep.tasks_left == 0; });
   if (sweep.first_error) std::rethrow_exception(sweep.first_error);
+}
+
+void for_each_index(ThreadPool* pool, size_t n,
+                    const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) fn(i);
 }
 
 }  // namespace eilid::common

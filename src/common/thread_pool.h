@@ -13,8 +13,11 @@
 // parallel_for() blocks the calling thread until every index has run
 // (the caller does not execute work items itself, so a pool of N uses
 // exactly N workers) and rethrows the first exception a work item
-// threw. submit() enqueues fire-and-forget work; the destructor drains
-// the queue before joining.
+// threw. The destructor drains the queue before joining.
+//
+// for_each_index() is the one body for code that runs either serially
+// or pooled: with a null pool it runs fn(0) .. fn(n-1) in index order
+// on the calling thread, otherwise it is parallel_for().
 #ifndef EILID_COMMON_THREAD_POOL_H
 #define EILID_COMMON_THREAD_POOL_H
 
@@ -39,11 +42,6 @@ class ThreadPool {
 
   size_t worker_count() const { return workers_.size(); }
 
-  // Enqueue one task. Tasks run in FIFO order across the workers. An
-  // exception a task throws is swallowed (fire-and-forget has nobody
-  // to rethrow to); use parallel_for() when failures must propagate.
-  void submit(std::function<void()> task);
-
   // Run fn(0) .. fn(n-1) across the workers and block until all have
   // finished. Indices are claimed atomically, so the iteration order
   // interleaves but every index runs exactly once. If any invocation
@@ -53,6 +51,8 @@ class ThreadPool {
   void parallel_for(size_t n, const std::function<void(size_t)>& fn);
 
  private:
+  // Enqueue one task; tasks run in FIFO order across the workers.
+  void submit(std::function<void()> task);
   void worker_loop();
 
   std::mutex mu_;
@@ -61,6 +61,12 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
+
+// fn(0) .. fn(n-1): in index order on the calling thread when `pool` is
+// null, else pool->parallel_for(n, fn). Either way the first exception
+// fn throws propagates to the caller.
+void for_each_index(ThreadPool* pool, size_t n,
+                    const std::function<void(size_t)>& fn);
 
 }  // namespace eilid::common
 

@@ -42,8 +42,6 @@ struct RomConfig {
   uint16_t secure_base = sim::kSecureRamStart;
   uint16_t secure_size = 256;
   uint16_t table_capacity = 16;  // indirect-call table entries
-  // Shadow-stack entries; 0 = fill the remaining secure DMEM.
-  uint16_t shadow_capacity = 0;
   // Ablation (paper §V-B): keep the shadow index in secure memory
   // instead of r5. Slower but frees r5 -- the paper argues r5-in-register
   // "obviates the need for memory access ... improving performance".
@@ -57,8 +55,9 @@ struct RomConfig {
   uint16_t shadow_base_addr() const {
     return static_cast<uint16_t>(tbl_base_addr() + 2 * table_capacity);
   }
+  // Shadow-stack entries: the shadow stack fills the remaining secure
+  // DMEM.
   uint16_t effective_shadow_capacity() const {
-    if (shadow_capacity != 0) return shadow_capacity;
     uint16_t end = static_cast<uint16_t>(secure_base + secure_size);
     return static_cast<uint16_t>((end - shadow_base_addr()) / 2);
   }
@@ -81,20 +80,11 @@ struct InstrumentConfig {
   bool backward_edge = true;   // P1: call/ret
   bool interrupt_edge = true;  // P2: ISR prologue/epilogue
   bool forward_edge = true;    // P3: indirect calls + entry table
-  bool lock_table = false;     // hardening: lock the table after boot
   TablePolicy table_policy = TablePolicy::kAddressTaken;
   // true: single-pass assembler-label return addresses (ablation);
   // false: the paper's numeric addresses from the previous iteration's
   // .lst, requiring the three-iteration build of Fig. 2.
   bool label_mode = false;
-  // Rewrite app instructions that *write* r5 to target a scratch
-  // register instead (paper §V); the application value does not
-  // survive, and r5 stays valid at every instruction boundary so an
-  // interrupt can never observe a clobbered shadow index.
-  bool spill_reserved = true;
-  // Mirrors RomConfig::memory_backed_index (set by the pipeline): when
-  // the shadow index lives in r5, app writes to r5 must be spilled.
-  bool index_in_register = true;
 };
 
 }  // namespace eilid::core

@@ -47,12 +47,8 @@ bool VerifierService::enrolled(const std::string& device_id) const {
 }
 
 void VerifierService::withdraw(const std::string& device_id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    devices_.erase(device_id);
-  }
-  std::lock_guard<std::mutex> lock(fresh_mu_);
-  freshness_.erase(device_id);
+  std::lock_guard<std::mutex> lock(mu_);
+  devices_.erase(device_id);
 }
 
 bool VerifierService::stage_cfg_swap(DeviceSession& session) {
@@ -67,24 +63,14 @@ bool VerifierService::stage_cfg_swap(DeviceSession& session) {
   return true;
 }
 
-VerifierService::AttestResult VerifierService::attest(DeviceSession& session) {
-  return attest_with_budget(session, 0);
-}
-
-VerifierService::AttestResult VerifierService::attest_slice(
-    DeviceSession& session, size_t max_edges) {
-  return attest_with_budget(session, max_edges);
-}
-
-VerifierService::AttestResult VerifierService::attest_with_budget(
-    DeviceSession& session, size_t max_edges) {
+VerifierService::AttestResult VerifierService::attest(DeviceSession& session,
+                                                      size_t max_edges) {
+  AttestResult out;
+  out.device_id = session.id();
   if (session.cfa_monitor() == nullptr) {
     // Nothing to challenge: no on-device evidence exists. Report the
     // gap instead of throwing so a sweep over a mixed-policy batch
     // degrades per device rather than aborting.
-    AttestResult out;
-    out.device_id = session.id();
-    out.attested = false;
     return out;
   }
   DeviceState* state = nullptr;
@@ -102,32 +88,25 @@ VerifierService::AttestResult VerifierService::attest_with_budget(
     state = &devices_.try_emplace(session.id(), std::move(fresh))
                  .first->second;
   }
-  // Attest the session the caller handed us (not state->session: if a
-  // distinct live session aliases an enrolled id, its own log must be
-  // the evidence -- replaying somebody else's would let it impersonate
-  // a healthy device).
-  return attest_device(*state, session, max_edges);
-}
 
-VerifierService::AttestResult VerifierService::attest_device(
-    DeviceState& state, DeviceSession& session, size_t max_edges) {
   // Per-device locking: DeviceState (replay verifier, expected_seq) is
   // guarded by its *enrolled* session's mutex, and the session being
   // drained by its own. They are the same object except when a caller
   // attests a live session aliasing an enrolled id; then both locks
   // are taken (std::lock, deadlock-free) so the sweep of the enrolled
   // device and the aliased attest can never race on the shared state.
-  std::unique_lock<std::mutex> state_lock(state.session->mutex(),
+  // The drained log is always the caller's session, never
+  // state->session: replaying somebody else's evidence would let an
+  // aliasing session impersonate a healthy device.
+  std::unique_lock<std::mutex> state_lock(state->session->mutex(),
                                           std::defer_lock);
   std::unique_lock<std::mutex> drain_lock(session.mutex(), std::defer_lock);
-  if (state.session == &session) {
+  if (state->session == &session) {
     state_lock.lock();
   } else {
     std::lock(state_lock, drain_lock);
   }
 
-  AttestResult out;
-  out.device_id = session.id();
   out.attested = true;
   out.tick = clock_ != nullptr ? clock_->now() : 0;
 
@@ -140,78 +119,25 @@ VerifierService::AttestResult VerifierService::attest_device(
   out.cycle = report.cycle;
   out.edges = report.edges.size();
   out.dropped = report.dropped;
-  out.seq_ok = report.seq == state.expected_seq;
-  state.expected_seq = report.seq + 1;
+  out.seq_ok = report.seq == state->expected_seq;
+  state->expected_seq = report.seq + 1;
 
-  cfa::CfaVerifier::Result v = state.verifier.verify(report, nonce);
+  cfa::CfaVerifier::Result v = state->verifier.verify(report, nonce);
   out.mac_ok = v.mac_ok;
   out.path_ok = v.path_ok;
   out.first_bad = v.first_bad;
-
-  // Freshness bookkeeping: every sweep flavor funnels through here, so
-  // last-seen/last-ok ticks cover full sweeps, subset gates and direct
-  // attest() calls alike. Guarded by its own lock (not the session's):
-  // health monitors read freshness while other devices are mid-sweep.
-  {
-    std::lock_guard<std::mutex> lock(fresh_mu_);
-    Freshness& fresh = freshness_[out.device_id];
-    fresh.last_attested_tick = out.tick;
-    fresh.ever_attested = true;
-    ++fresh.reports;
-    if (out.ok()) {
-      fresh.last_ok_tick = out.tick;
-      fresh.ever_ok = true;
-      fresh.convicted = false;
-    } else {
-      fresh.convicted = true;
-    }
-  }
   return out;
 }
 
-VerifierService::Freshness VerifierService::freshness(
-    const std::string& device_id) const {
-  std::lock_guard<std::mutex> lock(fresh_mu_);
-  auto it = freshness_.find(device_id);
-  return it == freshness_.end() ? Freshness{} : it->second;
-}
-
-// Snapshot of every enrolled device's state, in enrollment-id (map)
-// order -- the one definition both sweep flavors share, so they can
-// never diverge on what a sweep covers.
-std::vector<VerifierService::DeviceState*> VerifierService::sweep_snapshot() {
-  std::vector<DeviceState*> sweep;
+std::vector<DeviceSession*> VerifierService::enrolled_sessions() const {
+  std::vector<DeviceSession*> sessions;
   std::lock_guard<std::mutex> lock(mu_);
-  sweep.reserve(devices_.size());
-  for (auto& [id, state] : devices_) {
+  sessions.reserve(devices_.size());
+  for (const auto& [id, state] : devices_) {
     (void)id;
-    sweep.push_back(&state);
+    sessions.push_back(state.session);
   }
-  return sweep;
-}
-
-std::vector<VerifierService::AttestResult> VerifierService::verify_all() {
-  std::vector<DeviceState*> sweep = sweep_snapshot();
-  std::vector<AttestResult> out;
-  out.reserve(sweep.size());
-  for (DeviceState* state : sweep) {
-    out.push_back(attest_device(*state, *state->session, 0));
-  }
-  return out;
-}
-
-std::vector<VerifierService::AttestResult> VerifierService::verify_all(
-    common::ThreadPool& pool) {
-  // Workers fill results by snapshot index: they interleave, but the
-  // output order is deterministic and the verdicts match the serial
-  // sweep because each device's evidence, replay state and sequence
-  // window are private to it.
-  std::vector<DeviceState*> sweep = sweep_snapshot();
-  std::vector<AttestResult> out(sweep.size());
-  pool.parallel_for(sweep.size(), [&](size_t i) {
-    out[i] = attest_device(*sweep[i], *sweep[i]->session, 0);
-  });
-  return out;
+  return sessions;
 }
 
 std::vector<DeviceSession*> VerifierService::ordered_subset(
@@ -237,26 +163,35 @@ std::vector<DeviceSession*> VerifierService::ordered_subset(
   return ordered;
 }
 
+std::vector<VerifierService::AttestResult> VerifierService::sweep(
+    const std::vector<DeviceSession*>& ordered, common::ThreadPool* pool) {
+  // Results land by index: pooled workers interleave, but the output
+  // order is deterministic and the verdicts match the serial sweep
+  // because each device's evidence, replay state and sequence window
+  // are private to it.
+  std::vector<AttestResult> out(ordered.size());
+  common::for_each_index(pool, ordered.size(),
+                         [&](size_t i) { out[i] = attest(*ordered[i]); });
+  return out;
+}
+
+std::vector<VerifierService::AttestResult> VerifierService::verify_all() {
+  return sweep(enrolled_sessions(), nullptr);
+}
+
+std::vector<VerifierService::AttestResult> VerifierService::verify_all(
+    common::ThreadPool& pool) {
+  return sweep(enrolled_sessions(), &pool);
+}
+
 std::vector<VerifierService::AttestResult> VerifierService::verify_all(
     const std::vector<DeviceSession*>& sessions) {
-  std::vector<DeviceSession*> ordered = ordered_subset(sessions);
-  std::vector<AttestResult> out;
-  out.reserve(ordered.size());
-  // attest() is the per-device subset body: it degrades to an
-  // attested = false entry for monitor-less sessions, enrolls CFA
-  // sessions on first contact, and takes the per-device locks -- the
-  // same semantics per device as the whole-fleet sweep.
-  for (DeviceSession* session : ordered) out.push_back(attest(*session));
-  return out;
+  return sweep(ordered_subset(sessions), nullptr);
 }
 
 std::vector<VerifierService::AttestResult> VerifierService::verify_all(
     const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool) {
-  std::vector<DeviceSession*> ordered = ordered_subset(sessions);
-  std::vector<AttestResult> out(ordered.size());
-  pool.parallel_for(ordered.size(),
-                    [&](size_t i) { out[i] = attest(*ordered[i]); });
-  return out;
+  return sweep(ordered_subset(sessions), &pool);
 }
 
 // ------------------------------------------------------------------
@@ -282,14 +217,11 @@ crypto::Digest build_key(const std::string& source, const std::string& name,
   flag(in.backward_edge);
   flag(in.interrupt_edge);
   flag(in.forward_edge);
-  flag(in.lock_table);
   flag(in.label_mode);
-  flag(in.spill_reserved);
   num(static_cast<uint64_t>(in.table_policy));
   num(rom.secure_base);
   num(rom.secure_size);
   num(rom.table_capacity);
-  num(rom.shadow_capacity);
   flag(rom.memory_backed_index);
   // A prebuilt ROM is part of the flashed result, so its *image bytes*
   // are part of the build's identity -- the config alone is not enough

@@ -81,12 +81,13 @@
 //     - Fleet::find()/at()/size()/sessions()/decommission() against
 //       concurrent deploys of *other* ids.
 //     - VerifierService::enroll()/attest()/verify_all()/enrolled():
-//       each attestation locks its DeviceSession (per-device locking),
-//       so disjoint devices attest in parallel and the same device is
-//       never attested twice at once. The subset verify_all(sessions)
-//       overloads keep the same contract: a wave gate and a concurrent
-//       whole-fleet sweep serialize per device and interleave across
-//       devices.
+//       every verdict -- a direct attest(), a bounded attest(session,
+//       max_edges) slice, or one device of any verify_all sweep --
+//       runs the one attest() body, which locks that DeviceSession
+//       (per-device locking), so disjoint devices attest in parallel
+//       and the same device is never attested twice at once. A wave
+//       gate and a concurrent whole-fleet sweep serialize per device
+//       and interleave across devices.
 //     - apps::run_workload_all(): drives disjoint sessions
 //       concurrently, taking each session's lock for the duration.
 //     - UpdateCampaign::apply_to()/roll_out(): each device updates
@@ -105,12 +106,12 @@
 //       scheduler.
 //     - IncrementalVerifier::run_until() (src/eilid/incremental.h):
 //       windowed attestation rounds drain bounded slices via
-//       VerifierService::attest_slice under the same per-device
-//       session locks as verify_all, so a rolling window interleaves
-//       safely with heartbeat sweeps, rollouts and workload drivers;
-//       the pooled window's folded summaries are bit-identical to the
-//       serial window's AND to a barrier verify_all over the same
-//       evidence. One run_until at a time per verifier object
+//       VerifierService::attest(session, max_edges) under the same
+//       per-device session locks as verify_all, so a rolling window
+//       interleaves safely with heartbeat sweeps, rollouts and workload
+//       drivers; the pooled window's folded summaries are bit-identical
+//       to the serial window's AND to a barrier verify_all over the
+//       same evidence. One run_until at a time per verifier object
 //       (summaries() may be read concurrently).
 //     - HeartbeatScheduler::run_until()/HealthMonitor::run_until():
 //       heartbeat sweeps are verify_all subset sweeps (per-device
@@ -187,10 +188,10 @@ class VerifierService {
     size_t edges = 0;
     uint32_t dropped = 0;  // evidence lost to on-device log overflow
     std::optional<cfa::LoggedEdge> first_bad;
-    // Edges still held on-device after this drain: 0 for the barrier
-    // sweep (which drains everything); a bounded attest_slice() leaves
-    // the remainder for the next slice. The incremental verifier uses
-    // this to tell a caught-up device from one mid-drain.
+    // Edges still held on-device after this drain: 0 after an
+    // unbounded drain; a bounded attest(session, max_edges) leaves the
+    // remainder for the next slice. Tells a caught-up device from one
+    // mid-drain.
     size_t remaining = 0;
 
     bool ok() const { return attested && mac_ok && seq_ok && path_ok; }
@@ -211,21 +212,17 @@ class VerifierService {
   void enroll(DeviceSession& session);
   bool enrolled(const std::string& device_id) const;
 
-  // Challenge one device now: fresh nonce, drain its log, check MAC +
-  // sequence + path. Replay state persists across calls. A session
+  // Challenge one device now: fresh nonce, drain at most `max_edges`
+  // edges of its log (0 = everything), check MAC + sequence + path.
+  // Every verdict the service issues -- sweeps included -- comes from
+  // this one body. Replay state persists across calls, so a sequence of
+  // bounded slices replays exactly the evidence one full drain would,
+  // in order, and a hijack is convicted at the same edge (see
+  // eilid::IncrementalVerifier, which schedules slices). A session
   // with no CFA monitor is not an error -- there is simply no evidence
   // to collect -- so the result comes back with attested = false
   // (ok() false) and the session is not enrolled.
-  AttestResult attest(DeviceSession& session);
-
-  // Bounded variant: drain at most `max_edges` edges (0 = everything,
-  // == attest()). Same nonce/MAC/sequence/replay semantics per report
-  // -- a sequence of slices replays exactly the evidence one barrier
-  // drain would, in order, against the same persistent replay state,
-  // so a hijack is convicted at the same edge (see
-  // eilid::IncrementalVerifier, which schedules these). Freshness
-  // bookkeeping counts every slice as an announcement.
-  AttestResult attest_slice(DeviceSession& session, size_t max_edges);
+  AttestResult attest(DeviceSession& session, size_t max_edges = 0);
 
   // Batched sweep over every enrolled device, in enrollment-id order.
   // The overload fans the sweep out across the pool's workers with
@@ -265,24 +262,6 @@ class VerifierService {
   // the pointer must outlive the service.
   void attach_clock(const FleetClock* clock) { clock_ = clock; }
 
-  // Freshness bookkeeping, updated on every sweep that touches the
-  // device (attest/verify_all/subset gates alike): when evidence last
-  // arrived and when it last verified clean. The eilid::HealthMonitor
-  // layers staleness thresholds and quarantine on top of these.
-  struct Freshness {
-    Tick last_attested_tick = 0;  // evidence last collected (any verdict)
-    Tick last_ok_tick = 0;        // verdict last came back ok()
-    uint32_t reports = 0;         // attestations performed
-    bool ever_attested = false;
-    bool ever_ok = false;
-    bool convicted = false;  // most recent verdict was a conviction
-
-    bool operator==(const Freshness&) const = default;
-  };
-  // Freshness for one device id (value-initialized when the device has
-  // never been swept). Safe against concurrent sweeps.
-  Freshness freshness(const std::string& device_id) const;
-
   // Sanction the code change `session` just logged: stage a replay-CFG
   // swap to the CFG of the session's *current* build (BuildResult::cfg,
   // shared by every device of that build), taking effect when the
@@ -305,20 +284,16 @@ class VerifierService {
   // (BuildResult::cfg, extracted once per build) and shared read-only
   // by every device flashed from it.
   DeviceState make_state(DeviceSession& session);
-  // The per-device attestation body; callers hold no service lock.
-  // `session` is the device whose log is drained -- normally
-  // state.session, but attest() passes the caller's session so an
-  // aliased id can never present another device's evidence.
-  // `max_edges` bounds the drain (0 = everything).
-  AttestResult attest_device(DeviceState& state, DeviceSession& session,
-                             size_t max_edges);
-  AttestResult attest_with_budget(DeviceSession& session, size_t max_edges);
-  std::vector<DeviceState*> sweep_snapshot();
+  // Every enrolled session, in enrollment-id (map) order.
+  std::vector<DeviceSession*> enrolled_sessions() const;
   // Validated copy of a subset in enrollment-id order (throws on null
-  // pointers and duplicate ids) -- the one definition both subset
-  // sweep flavors share.
+  // pointers and duplicate ids).
   static std::vector<DeviceSession*> ordered_subset(
       const std::vector<DeviceSession*>& sessions);
+  // The one sweep body behind every verify_all overload: attest() each
+  // of the id-ordered `sessions`, serially (null pool) or pooled.
+  std::vector<AttestResult> sweep(const std::vector<DeviceSession*>& sessions,
+                                  common::ThreadPool* pool);
 
   mutable std::mutex mu_;  // guards devices_ (the map structure only;
                            // per-device state is guarded by the
@@ -327,10 +302,6 @@ class VerifierService {
   std::atomic<uint64_t> nonce_counter_{1};
 
   const FleetClock* clock_ = nullptr;  // set once, before attestation
-  // Guarded by fresh_mu_, not the per-device session lock: freshness is
-  // read by health monitors while sweeps are in flight elsewhere.
-  mutable std::mutex fresh_mu_;
-  std::map<std::string, Freshness> freshness_;
 };
 
 struct FleetOptions {

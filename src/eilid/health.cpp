@@ -269,8 +269,7 @@ RemediationOutcome HealthMonitor::remediate_one(const QuarantineEntry& entry,
 
 HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
   HealthReport report;
-  report.heartbeats = pool == nullptr ? scheduler_.run_until(deadline)
-                                      : scheduler_.run_until(deadline, *pool);
+  report.heartbeats = scheduler_.run(deadline, pool);
   const Tick now = fleet_->clock().now();
 
   // Assess every watched device against the policy; latch new
@@ -336,15 +335,9 @@ HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
   // its own state alone; the clock does not advance mid-pass).
   if (!to_remediate.empty()) {
     std::vector<RemediationOutcome> outcomes(to_remediate.size());
-    if (pool == nullptr) {
-      for (size_t i = 0; i < to_remediate.size(); ++i) {
-        outcomes[i] = remediate_one(to_remediate[i], now);
-      }
-    } else {
-      pool->parallel_for(to_remediate.size(), [&](size_t i) {
-        outcomes[i] = remediate_one(to_remediate[i], now);
-      });
-    }
+    common::for_each_index(pool, to_remediate.size(), [&](size_t i) {
+      outcomes[i] = remediate_one(to_remediate[i], now);
+    });
     std::lock_guard<std::mutex> lock(mu_);
     const uint32_t max_attempts = options_.policy.max_heal_attempts;
     for (const RemediationOutcome& outcome : outcomes) {

@@ -96,8 +96,8 @@ struct HeartbeatOptions {
 };
 
 // Everything the quarantine decision may consult, per device. Owned by
-// the HeartbeatScheduler; mirrors (and is cross-checkable against) the
-// verifier's own VerifierService::Freshness bookkeeping.
+// the HeartbeatScheduler: the fleet's one copy of attestation
+// freshness (the verifier keeps none).
 struct FreshnessRecord {
   std::string device_id;
   Tick enrolled_tick = 0;       // when the scheduler first saw the device
@@ -167,6 +167,7 @@ class HeartbeatScheduler {
   const HeartbeatOptions& options() const { return options_; }
 
  private:
+  friend class HealthMonitor;  // drives run() with its own pool choice
   HeartbeatReport run(Tick deadline, common::ThreadPool* pool);
   Tick phase_for(const std::string& device_id) const;
 

@@ -98,22 +98,14 @@ IncrementalVerifier::WindowReport IncrementalVerifier::run(
         if (session->online()) picked.push_back(session);
       }
 
+      // Slices land by rotation index: pooled workers interleave but
+      // the round -- and every fold below -- is bit-identical to the
+      // serial one (per-device evidence and replay state are private;
+      // attest takes the device's own lock).
       round.slices.resize(picked.size());
-      if (pool != nullptr) {
-        // Slices land by rotation index: workers interleave but the
-        // round -- and every fold below -- is bit-identical to the
-        // serial one (per-device evidence and replay state are
-        // private; attest_slice takes the device's own lock).
-        pool->parallel_for(picked.size(), [&](size_t i) {
-          round.slices[i] =
-              fleet_->verifier().attest_slice(*picked[i], max_edges);
-        });
-      } else {
-        for (size_t i = 0; i < picked.size(); ++i) {
-          round.slices[i] =
-              fleet_->verifier().attest_slice(*picked[i], max_edges);
-        }
-      }
+      common::for_each_index(pool, picked.size(), [&](size_t i) {
+        round.slices[i] = fleet_->verifier().attest(*picked[i], max_edges);
+      });
 
       std::lock_guard<std::mutex> lock(mu_);
       for (const VerifierService::AttestResult& slice : round.slices) {

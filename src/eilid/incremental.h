@@ -120,9 +120,9 @@ class IncrementalVerifier {
   // Advance fleet time to `deadline`, firing a round every `period`
   // ticks on the way: rotate to the next max_devices_per_tick online
   // devices, drain at most max_bytes_per_slice from each
-  // (VerifierService::attest_slice -- per-device locks, freshness
-  // bookkeeping, replay state all shared with the barrier sweeps), and
-  // fold every verdict into the per-device summaries. The pooled
+  // (VerifierService::attest(session, max_edges) -- the same verdict
+  // body, per-device locks and replay state as the barrier sweeps),
+  // and fold every verdict into the per-device summaries. The pooled
   // overload returns a bit-identical report. If another scheduler
   // advanced the clock past the pending round between calls, the
   // cadence re-anchors at the current tick (no backlog of degenerate

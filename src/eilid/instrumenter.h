@@ -64,9 +64,17 @@ class Instrumenter {
  public:
   // `rom_symbols` is the symbol table of the assembled EILIDsw image;
   // the instrumenter resolves the NS_EILID_* entry stubs from it.
+  // `index_in_register` is !RomConfig::memory_backed_index of that
+  // ROM: while the shadow index lives in r5, app instructions that
+  // write r5 are re-targeted at a scratch register (paper §V), so r5
+  // stays valid at every instruction boundary and an interrupt can
+  // never observe a clobbered shadow index.
   Instrumenter(InstrumentConfig config,
-               std::map<std::string, uint16_t> rom_symbols)
-      : config_(config), rom_symbols_(std::move(rom_symbols)) {}
+               std::map<std::string, uint16_t> rom_symbols,
+               bool index_in_register = true)
+      : config_(config),
+        rom_symbols_(std::move(rom_symbols)),
+        index_in_register_(index_in_register) {}
 
   // Instrument `original`. In numeric mode, `prev_listing` must be the
   // listing of the previous build iteration (original build for the
@@ -77,6 +85,7 @@ class Instrumenter {
  private:
   InstrumentConfig config_;
   std::map<std::string, uint16_t> rom_symbols_;
+  bool index_in_register_;
 };
 
 }  // namespace eilid::core

@@ -97,9 +97,9 @@ BuildResult build_app(const std::string& source, const std::string& name,
     result.rom = build_rom(rom_cfg);
   }
 
-  InstrumentConfig icfg = options.instrument;
-  icfg.index_in_register = !rom_cfg.memory_backed_index;
-  Instrumenter inst(icfg, result.rom.unit.symbols);
+  const InstrumentConfig& icfg = options.instrument;
+  Instrumenter inst(icfg, result.rom.unit.symbols,
+                    !rom_cfg.memory_backed_index);
 
   if (icfg.label_mode) {
     // Single-pass ablation: return addresses are assembler labels.

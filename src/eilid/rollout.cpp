@@ -108,28 +108,18 @@ CampaignScheduler::Resolved CampaignScheduler::resolve() const {
   return resolved;
 }
 
-std::vector<UpdateOutcome> CampaignScheduler::apply_wave(
-    const std::vector<DeviceSession*>& wave, common::ThreadPool* pool) {
-  std::vector<UpdateOutcome> out(wave.size());
-  if (pool == nullptr) {
-    for (size_t i = 0; i < wave.size(); ++i) {
-      out[i] = campaign_.apply_to(*wave[i]);
-    }
-    return out;
-  }
+void CampaignScheduler::for_each_in_flight(
+    size_t n, common::ThreadPool* pool,
+    const std::function<void(size_t)>& fn) const {
   // Rate limit: at most max_in_flight devices mid-update at once --
-  // the wave is fed to the pool in chunks. Chunking only changes
+  // the indices are fed to the pool in chunks. Chunking only changes
   // scheduling, never outcomes (each device's result depends on its
   // own state alone), so pooled stays outcome-identical to serial.
-  const size_t limit = plan_.max_in_flight == 0 ? wave.size()
-                                                : plan_.max_in_flight;
-  for (size_t base = 0; base < wave.size(); base += limit) {
-    const size_t chunk = std::min(limit, wave.size() - base);
-    pool->parallel_for(chunk, [&](size_t i) {
-      out[base + i] = campaign_.apply_to(*wave[base + i]);
-    });
+  const size_t limit = plan_.max_in_flight == 0 ? n : plan_.max_in_flight;
+  for (size_t base = 0; base < n; base += limit) {
+    common::for_each_index(pool, std::min(limit, n - base),
+                           [&](size_t i) { fn(base + i); });
   }
-  return out;
 }
 
 RolloutReport CampaignScheduler::execute(common::ThreadPool* pool) {
@@ -167,7 +157,10 @@ RolloutReport CampaignScheduler::execute(common::ThreadPool* pool) {
       }
     }
 
-    wave.updates = apply_wave(members, pool);
+    wave.updates.resize(members.size());
+    for_each_in_flight(members.size(), pool, [&](size_t i) {
+      wave.updates[i] = campaign_.apply_to(*members[i]);
+    });
     wave.applied_tick = clock.now();
     if (plan_.soak_ticks > 0) {
       // Immediate post-apply sweep: the update itself must already
@@ -246,35 +239,25 @@ void CampaignScheduler::roll_back(
     WaveOutcome& wave = report.waves[w];
     if (!wave.applied) continue;
     const std::vector<DeviceSession*>& members = waves[w];
+    // Stage the wave's campaigns before fanning out (the map must not
+    // change under concurrent readers). Staging has no device effects.
+    for (DeviceSession* session : members) {
+      const auto& prior = prior_builds.at(session);
+      if (reverse.count(prior.get()) == 0) {
+        reverse.emplace(prior.get(),
+                        fleet_->stage_update(prior, campaign_.options()));
+      }
+    }
     wave.rollbacks.resize(members.size());
-    wave.rolled_back.assign(members.size(), false);
-
-    const size_t limit =
-        plan_.max_in_flight == 0 ? members.size() : plan_.max_in_flight;
-    for (size_t base = 0; base < members.size(); base += limit) {
-      const size_t chunk = std::min(limit, members.size() - base);
-      auto reverse_one = [&](size_t i) {
-        DeviceSession* session = members[base + i];
-        UpdateCampaign& campaign = reverse.at(
-            prior_builds.at(session).get());
-        wave.rollbacks[base + i] = campaign.apply_to(*session);
-        wave.rolled_back[base + i] =
-            wave.rollbacks[base + i].build_swapped;
-      };
-      // Stage the chunk's campaigns before fanning out (the map must
-      // not rehash under concurrent readers).
-      for (size_t i = 0; i < chunk; ++i) {
-        const auto& prior = prior_builds.at(members[base + i]);
-        if (reverse.count(prior.get()) == 0) {
-          reverse.emplace(prior.get(),
-                          fleet_->stage_update(prior, campaign_.options()));
-        }
-      }
-      if (pool == nullptr) {
-        for (size_t i = 0; i < chunk; ++i) reverse_one(i);
-      } else {
-        pool->parallel_for(chunk, reverse_one);
-      }
+    for_each_in_flight(members.size(), pool, [&](size_t i) {
+      DeviceSession* session = members[i];
+      wave.rollbacks[i] =
+          reverse.at(prior_builds.at(session).get()).apply_to(*session);
+    });
+    // Filled after the fan-out, never by the workers: neighbouring
+    // std::vector<bool> bits share a word, so concurrent writes race.
+    for (const UpdateOutcome& rollback : wave.rollbacks) {
+      wave.rolled_back.push_back(rollback.build_swapped);
     }
   }
 }

@@ -207,12 +207,14 @@ class CampaignScheduler {
   };
   Resolved resolve() const;
   RolloutReport execute(common::ThreadPool* pool);
-  std::vector<UpdateOutcome> apply_wave(
-      const std::vector<DeviceSession*>& wave, common::ThreadPool* pool);
+  // fn(0) .. fn(n-1) via common::for_each_index, in chunks of at most
+  // max_in_flight indices: the one fan-out both wave applies and
+  // rollbacks ride.
+  void for_each_in_flight(size_t n, common::ThreadPool* pool,
+                          const std::function<void(size_t)>& fn) const;
   // Reverse every swapped device in `touched` (session -> the build it
   // ran before its wave) back onto that prior build, filling each
-  // wave's rollbacks/rolled_back slots. Runs under the same chunked
-  // max_in_flight fan-out as apply_wave.
+  // wave's rollbacks/rolled_back slots.
   void roll_back(
       RolloutReport& report,
       const std::vector<std::vector<DeviceSession*>>& waves,

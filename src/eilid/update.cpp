@@ -168,31 +168,33 @@ UpdateOutcome UpdateCampaign::apply_to(DeviceSession& session) {
   return apply_locked(session);
 }
 
+std::vector<UpdateOutcome> UpdateCampaign::apply_all(
+    const std::vector<DeviceSession*>& sessions, common::ThreadPool* pool) {
+  // Outcomes land by input index: pooled workers interleave, but the
+  // output is deterministic -- each device's package, version and
+  // verdict depend only on that device's own state.
+  std::vector<UpdateOutcome> out(sessions.size());
+  common::for_each_index(pool, sessions.size(),
+                         [&](size_t i) { out[i] = apply_to(*sessions[i]); });
+  return out;
+}
+
 std::vector<UpdateOutcome> UpdateCampaign::roll_out() {
-  return roll_out(fleet_->sessions());
+  return apply_all(fleet_->sessions(), nullptr);
 }
 
 std::vector<UpdateOutcome> UpdateCampaign::roll_out(common::ThreadPool& pool) {
-  return roll_out(fleet_->sessions(), pool);
+  return apply_all(fleet_->sessions(), &pool);
 }
 
 std::vector<UpdateOutcome> UpdateCampaign::roll_out(
     const std::vector<DeviceSession*>& sessions) {
-  std::vector<UpdateOutcome> out;
-  out.reserve(sessions.size());
-  for (DeviceSession* session : sessions) out.push_back(apply_to(*session));
-  return out;
+  return apply_all(sessions, nullptr);
 }
 
 std::vector<UpdateOutcome> UpdateCampaign::roll_out(
     const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool) {
-  // Workers fill outcomes by input index: interleaved execution,
-  // deterministic output -- each device's package, version and verdict
-  // depend only on that device's own state.
-  std::vector<UpdateOutcome> out(sessions.size());
-  pool.parallel_for(sessions.size(),
-                    [&](size_t i) { out[i] = apply_to(*sessions[i]); });
-  return out;
+  return apply_all(sessions, &pool);
 }
 
 }  // namespace eilid

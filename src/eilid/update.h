@@ -187,6 +187,10 @@ class UpdateCampaign {
 
   // Body of apply_to(); caller holds session.mutex().
   UpdateOutcome apply_locked(DeviceSession& session);
+  // The one body behind every roll_out overload: apply_to() each
+  // session, serially (null pool) or pooled, outcomes in input order.
+  std::vector<UpdateOutcome> apply_all(
+      const std::vector<DeviceSession*>& sessions, common::ThreadPool* pool);
   // Diff (and expected from-image) for `from` -> target, computed once
   // per distinct from-build and shared across the rollout (a fleet
   // mid-migration has a handful of builds, not a diff per device). The

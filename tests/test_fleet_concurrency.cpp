@@ -41,6 +41,20 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(kN);
   pool.parallel_for(kN, [&](size_t i) { ++hits[i]; });
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+
+  // for_each_index over the pool is parallel_for ...
+  common::for_each_index(&pool, kN, [&](size_t i) { ++hits[i]; });
+  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 2) << i;
+  // ... and over a null pool runs every index once, in index order, on
+  // the calling thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  common::for_each_index(nullptr, kN, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), kN);
+  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, ParallelForRethrowsFirstError) {
@@ -56,6 +70,17 @@ TEST(ThreadPoolTest, ParallelForRethrowsFirstError) {
   std::atomic<size_t> ran{0};
   pool.parallel_for(64, [&](size_t) { ++ran; });
   EXPECT_EQ(ran.load(), 64u);
+
+  // A null-pool for_each_index propagates the exception, and stops
+  // there: no later index runs.
+  size_t serial_ran = 0;
+  EXPECT_THROW(common::for_each_index(nullptr, 64,
+                                      [&](size_t i) {
+                                        if (i == 7) throw FleetError("boom");
+                                        ++serial_ran;
+                                      }),
+               FleetError);
+  EXPECT_EQ(serial_ran, 7u);
 }
 
 // ------------------------------------------------- single-flight cache

@@ -97,15 +97,6 @@ TEST(FleetClockTest, FleetOwnsOneClockAndStampsVerdicts) {
     EXPECT_TRUE(verdict.ok()) << verdict.device_id;
     EXPECT_EQ(verdict.tick, 42u) << verdict.device_id;
   }
-  // The verifier's freshness mirrors the stamped ticks.
-  const VerifierService::Freshness fresh =
-      fleet.verifier().freshness(device_id(0));
-  EXPECT_TRUE(fresh.ever_ok);
-  EXPECT_EQ(fresh.last_ok_tick, 42u);
-  EXPECT_EQ(fresh.reports, 1u);
-  // A device never swept reads value-initialized.
-  EXPECT_EQ(fleet.verifier().freshness("ghost"),
-            VerifierService::Freshness{});
 }
 
 // ------------------------------------------------------------- SeededRng
@@ -156,10 +147,6 @@ TEST(HeartbeatTest, CadenceFiresEveryPeriodAndRecordsFreshness) {
     EXPECT_EQ(record.next_due, 1100u);
     EXPECT_TRUE(record.ever_ok);
     EXPECT_FALSE(record.convicted);
-    // The scheduler's record agrees with the verifier's own books.
-    const auto fresh = fleet.verifier().freshness(record.device_id);
-    EXPECT_EQ(fresh.last_ok_tick, record.last_ok_tick);
-    EXPECT_EQ(fresh.last_attested_tick, record.last_attested_tick);
   }
 }
 

@@ -483,6 +483,49 @@ TEST(IncrementalVerifierTest, PooledWindowIsBitIdenticalToSerial) {
   EXPECT_EQ(serial, barrier_serial);
 }
 
+// AttestResult::remaining after each bounded attest(dev, k) is exactly
+// what the slice left on-device, counting down to 0; and the folded
+// slices equal one unbounded attest of an identically driven twin.
+TEST(IncrementalVerifierTest, BoundedAttestCountsRemainingDownToZero) {
+  Fleet sliced_fleet;
+  Fleet twin_fleet;
+  provision_fleet(sliced_fleet, 1);
+  provision_fleet(twin_fleet, 1);
+  DeviceSession& dev = sliced_fleet.at(device_id(0));
+  DeviceSession& twin = twin_fleet.at(device_id(0));
+  dev.run(600);
+  twin.run(600);
+  const size_t logged = dev.cfa_monitor()->log_size();
+  ASSERT_GT(logged, 10u);
+  ASSERT_EQ(twin.cfa_monitor()->log_size(), logged);
+
+  constexpr size_t kSlice = 4;
+  AttestSummary sliced;
+  size_t left = logged;
+  size_t slices = 0;
+  while (left > 0 && slices < logged) {
+    const VerifierService::AttestResult slice =
+        sliced_fleet.verifier().attest(dev, kSlice);
+    ASSERT_TRUE(slice.ok()) << "slice " << slices;
+    ASSERT_GT(slice.edges, 0u);
+    EXPECT_LE(slice.edges, kSlice);
+    left -= slice.edges;
+    EXPECT_EQ(slice.remaining, left) << "slice " << slices;
+    fold(sliced, slice);
+    ++slices;
+  }
+  EXPECT_EQ(left, 0u);
+  EXPECT_GT(slices, 1u);
+  EXPECT_EQ(dev.cfa_monitor()->log_size(), 0u);
+
+  const VerifierService::AttestResult full = twin_fleet.verifier().attest(twin);
+  EXPECT_EQ(full.edges, logged);
+  EXPECT_EQ(full.remaining, 0u);
+  AttestSummary whole;
+  fold(whole, full);
+  EXPECT_EQ(sliced, whole);
+}
+
 TEST(IncrementalVerifierTest, RotationCoversEveryDeviceAndSkipsOffline) {
   Fleet fleet;
   provision_fleet(fleet, 5);
