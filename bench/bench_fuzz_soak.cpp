@@ -13,10 +13,10 @@
 // then minimize it with DifferentialHarness::shrink (see
 // tests/test_fuzz_regressions.cpp for pinned examples).
 //
-// Usage: bench_fuzz_soak [--smoke] [--seed N] [--programs N] [--mutations N]
-//   --smoke: the CI-sized bounded corpus (500 programs x 3 engines x 4
-//   policies, plus >= 200 mutated cases); default is the larger local
-//   soak.
+// Usage: bench_fuzz_soak [--seed N] [--programs N] [--mutations N]
+//   The default is the local soak (2000 programs, 64 mutation seeds).
+//   The CI-sized corpus runs in ctest, with exact counts, as
+//   DifferentialCorpus.SmokeCorpusCountsAreExact (tests/test_fuzz.cpp).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -39,16 +39,11 @@ double ms_since(clock_type::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
   fuzz::HarnessOptions options;
   options.programs = 2000;
   options.mutations = 64;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-      options.programs = 500;
-      options.mutations = 24;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       options.seed = std::strtoull(argv[++i], nullptr, 0);
     } else if (std::strcmp(argv[i], "--programs") == 0 && i + 1 < argc) {
       options.programs = std::atoi(argv[++i]);
@@ -56,16 +51,15 @@ int main(int argc, char** argv) {
       options.mutations = std::atoi(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--seed N] [--programs N] "
-                   "[--mutations N]\n",
+                   "usage: %s [--seed N] [--programs N] [--mutations N]\n",
                    argv[0]);
       return 2;
     }
   }
 
-  std::printf("Scenario-fuzzer soak (%s: %d programs, %d mutation seeds, "
+  std::printf("Scenario-fuzzer soak (%d programs, %d mutation seeds, "
               "base seed 0x%llx)\n",
-              smoke ? "smoke" : "full", options.programs, options.mutations,
+              options.programs, options.mutations,
               static_cast<unsigned long long>(options.seed));
 
   fuzz::DifferentialHarness harness(options);
@@ -81,44 +75,11 @@ int main(int argc, char** argv) {
   std::printf("%-28s %zu\n", "divergences", report.failures.size());
   std::printf("%-28s %.1f ms\n", "wall clock", wall_ms);
 
-  // The run only counts if it exercised what it claims: when a flag
-  // combination (or a mutator planning drought) shrinks the corpus
-  // below the advertised floor, fail loudly instead of gating green on
-  // a near-empty sweep. Floors apply to the named presets, not to
-  // explicit --programs/--mutations reproduce runs.
-  bool ok = report.ok();
-  if (smoke) {
-    if (report.programs < 500 || report.mutation_cases < 200) {
-      std::printf("!! smoke corpus floor violated: %d programs, %d mutated "
-                  "cases (need >= 500 / >= 200)\n",
-                  report.programs, report.mutation_cases);
-      ok = false;
-    }
-  }
-
-  FILE* json = std::fopen("BENCH_fuzz_soak.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"bench\": \"fuzz_soak\",\n  \"mode\": \"%s\",\n"
-                 "  \"seed\": %llu,\n"
-                 "  \"rows\": [\n"
-                 "    {\"policy\": \"all\", \"programs\": %d, "
-                 "\"engine_runs\": %d, \"mutation_cases\": %d, "
-                 "\"convicted\": %d, \"refused\": %d, \"wall_ms\": %.1f}\n"
-                 "  ],\n  \"ok\": %s\n}\n",
-                 smoke ? "smoke" : "full",
-                 static_cast<unsigned long long>(options.seed),
-                 report.programs, report.engine_runs, report.mutation_cases,
-                 report.convicted, report.refused, wall_ms,
-                 ok ? "true" : "false");
-    std::fclose(json);
-  }
-
-  if (!ok && !report.failures.empty()) {
+  if (!report.ok()) {
     std::fprintf(stderr,
                  "\nreproduce: bench_fuzz_soak --seed <failing seed above> "
                  "--programs 1 --mutations 1\n");
   }
-  std::printf("%s\n", ok ? "OK" : "FAILED");
-  return ok ? 0 : 1;
+  std::printf("%s\n", report.ok() ? "OK" : "FAILED");
+  return report.ok() ? 0 : 1;
 }

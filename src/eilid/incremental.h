@@ -24,8 +24,8 @@
 //   - fold() collapses a device's slice verdicts into one
 //     AttestSummary with sticky conviction; folding the barrier
 //     sweep's single verdict through the same fold yields a
-//     bit-identical summary (tests/test_fleet_scale.cpp and
-//     bench_fleet_10k gate this, serial and pooled).
+//     bit-identical summary (tests/test_fleet_scale.cpp gates this on
+//     a mixed-policy fleet, serial and pooled).
 //
 // Concurrency contract: run_until(pool) fans each round's slices out
 // with the same per-device DeviceSession::mutex() locking as

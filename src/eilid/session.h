@@ -214,7 +214,7 @@ class DeviceSession {
   // Private memory this device costs beyond its build's shared
   // artifacts: the machine's materialized copy-on-write pages and page
   // tables (sim::PagedMemory) plus the CFA monitor's resident log
-  // arena. The bench_fleet_10k per-device gate reads this; the shared
+  // arena. tests/test_fleet_scale.cpp pins it per policy; the shared
   // flat image, decoded table and CFG are counted once per build, not
   // here.
   size_t resident_memory_bytes() const;

@@ -290,8 +290,8 @@ class Bus {
     mem_.reclaim_identical(first, last);
   }
   // Private memory this device holds beyond the shared image --
-  // materialized pages plus page tables (bench_fleet_10k's per-device
-  // gate reads this).
+  // materialized pages plus page tables (the per-policy pins in
+  // tests/test_fleet_scale.cpp read this).
   size_t resident_memory_bytes() const { return mem_.resident_bytes(); }
   size_t owned_pages() const { return mem_.owned_pages(); }
 

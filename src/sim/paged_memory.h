@@ -99,7 +99,7 @@ class PagedMemory {
   // --- accounting ---------------------------------------------------
   // Private bytes this instance holds beyond the shared base image:
   // materialized pages (owned + free-listed) plus the page tables.
-  // The metric bench_fleet_10k gates per device.
+  // The per-device metric tests/test_fleet_scale.cpp pins exactly.
   size_t resident_bytes() const {
     return pages_.size() * kPageBytes + sizeof(read_) + sizeof(write_);
   }

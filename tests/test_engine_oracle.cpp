@@ -10,6 +10,11 @@
 // and feeds the CFA log from inside the chain -- any of those reporting
 // at a wrong boundary shows up here as a differing field.
 //
+// A never-halting spin kernel adds the budget-bounded case: a fixed
+// cycle budget whose CFA evidence overflows the log, so the arms must
+// also agree on what was dropped. The two per-step arms must also
+// agree on a fingerprint of every retired step.
+//
 // The last cases put the CASU/EILID region rules on the chain's range
 // crossings: an illegal ROM entry and an illegal ROM exit reached
 // inside a chained run must reset with the same reason at the same PC
@@ -38,7 +43,7 @@ namespace {
 
 struct Arm {
   ExecutionEngine engine;
-  bool per_step;  // attach step_pin
+  bool per_step;  // pinned per-instruction by a wants_step() monitor
   const char* name;
   bool dispatches_blocks() const {
     return engine == ExecutionEngine::kSuperblock && !per_step;
@@ -127,6 +132,68 @@ SessionOptions options_for(const Arm& arm) {
 
 // ------------------------------------------------------ the workloads
 
+// A never-halting spin kernel: a tight ALU loop, a call, RAM traffic.
+// Instrumentable, so one source serves every policy. `halt` is never
+// reached: a fixed cycle budget bounds each run, and the budget logs
+// far more edges than kSpinLogCapacity holds, so the kCfaBaseline
+// report drops evidence.
+constexpr uint64_t kSpinCycles = 500'000;
+constexpr uint32_t kSpinLogCapacity = 4096;
+
+const apps::AppSpec& spin_kernel() {
+  static const apps::AppSpec spec{
+      "spin_kernel", R"(.org 0xE000
+main:
+    mov #0x1000, r1
+    clr r12
+    clr r13
+loop:
+    mov #8, r11
+inner:
+    add r11, r12
+    xor r12, r13
+    rra r13
+    swpb r12
+    inc r13
+    dec r11
+    jnz inner
+    call #mix
+    mov r12, &0x0280
+    add &0x0280, r13
+    jmp loop
+mix:
+    push r12
+    xor r13, r12
+    rra r12
+    pop r12
+    ret
+halt:
+    jmp halt
+.vector 15, main
+)",
+      [](sim::Machine&) {}, kSpinCycles,
+      [](sim::Machine&) { return std::string(); }};
+  return spec;
+}
+
+// FNV-1a over every (from, to, fallthrough) step. A wants_step()
+// monitor, so attaching it pins the machine to per-instruction
+// dispatch: it doubles as the per-step arm's pin.
+class TraceFingerprint : public sim::Monitor {
+ public:
+  void on_step(uint16_t from_pc, uint16_t to_pc,
+               uint16_t fallthrough) override {
+    for (uint16_t v : {from_pc, to_pc, fallthrough}) {
+      hash_ ^= v;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
 struct Workload {
   const apps::AppSpec* app;
   const char* label;
@@ -140,11 +207,13 @@ std::vector<Workload> workloads() {
   }
   out.push_back({&apps::vuln_gateway(), "vuln_gateway", false});
   out.push_back({&apps::vuln_gateway(), "vuln_gateway-exploited", true});
+  out.push_back({&spin_kernel(), "spin_kernel", false});
   return out;
 }
 
 TEST(EngineOracle, EveryWorkloadAgreesAcrossArmsUnderEveryPolicy) {
   for (const Workload& w : workloads()) {
+    const bool spin = w.app == &spin_kernel();
     std::shared_ptr<const core::BuildResult> builds[2];
     for (bool eilid : {false, true}) {
       builds[eilid] = std::make_shared<const core::BuildResult>(
@@ -156,16 +225,20 @@ TEST(EngineOracle, EveryWorkloadAgreesAcrossArmsUnderEveryPolicy) {
           std::string(w.label) + " / " +
           std::string(enforcement_policy_name(policy));
       std::vector<Observed> seen;
+      std::vector<uint64_t> traces;  // the two per-step arms
       for (const Arm& arm : kArms) {
-        DeviceSession dev(tag + " / " + arm.name, build, policy,
-                          options_for(arm));
-        if (arm.per_step) dev.machine().add_monitor(&step_pin);
+        SessionOptions options = options_for(arm);
+        if (spin) options.cfa.log_capacity = kSpinLogCapacity;
+        DeviceSession dev(tag + " / " + arm.name, build, policy, options);
+        TraceFingerprint trace;
+        if (!arm.dispatches_blocks()) dev.machine().add_monitor(&trace);
         if (w.app == &apps::vuln_gateway()) {
           dev.machine().uart().feed(
               w.exploit ? attacks::overflow_ret_payload(dev.symbol("unlock"))
                         : attacks::benign_payload());
         }
-        const apps::WorkloadOutcome outcome = apps::run_workload(dev, *w.app);
+        const apps::WorkloadOutcome outcome =
+            apps::run_workload(dev, *w.app, spin ? kSpinCycles : 0);
         Observed o = observe(dev);
         o.reached_halt = outcome.reached_halt;
         o.check_failure = outcome.check_failure;
@@ -173,6 +246,7 @@ TEST(EngineOracle, EveryWorkloadAgreesAcrossArmsUnderEveryPolicy) {
           EXPECT_GT(dev.machine().blocks_executed(), 0u) << tag;
         } else {
           EXPECT_EQ(dev.machine().blocks_executed(), 0u) << tag;
+          traces.push_back(trace.hash());
         }
         seen.push_back(std::move(o));
       }
@@ -180,7 +254,10 @@ TEST(EngineOracle, EveryWorkloadAgreesAcrossArmsUnderEveryPolicy) {
       if (policy == EnforcementPolicy::kCfaBaseline) {
         EXPECT_FALSE(seen[0].edges.empty()) << tag;
         EXPECT_TRUE(seen[0].mac_ok) << tag;
+        // Only the spin kernel outruns its log.
+        EXPECT_EQ(seen[0].dropped > 0, spin) << tag;
       }
+      EXPECT_EQ(traces[1], traces[0]) << tag << ": per-step trace differs";
       EXPECT_TRUE(seen[1] == seen[0]) << tag << ": per-step arm differs";
       EXPECT_TRUE(seen[2] == seen[0]) << tag << ": superblock arm differs";
     }

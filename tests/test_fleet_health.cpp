@@ -349,6 +349,7 @@ TEST(SelfHealingTest, ConvictedDeviceIsReflashedReupdatedAndHeals) {
   // Remediation re-updates onto a *new* golden build: the rogue-patched
   // device's diverged PMEM would refuse a diff-based update
   // (kImageMismatch) -- reflash first makes the transition applicable.
+  auto gen0 = fleet.at(device_id(0)).shared_build();
   auto golden = fleet.build(firmware(1), "fw", {.eilid = false});
   health.stage_remediation(fleet.stage_update(golden));
 
@@ -386,8 +387,13 @@ TEST(SelfHealingTest, ConvictedDeviceIsReflashedReupdatedAndHeals) {
   EXPECT_EQ(report.quarantined_after, 0u);
 
   // The healed device genuinely runs the golden build now and keeps
-  // attesting clean on the next beats.
+  // attesting clean on the next beats; the untouched devices were never
+  // moved off generation 0.
   EXPECT_EQ(fleet.at(device_id(2)).shared_build().get(), golden.get());
+  for (size_t i : {0u, 1u}) {
+    EXPECT_EQ(fleet.at(device_id(i)).shared_build().get(), gen0.get())
+        << device_id(i);
+  }
   const HealthReport after = health.run_until(300);
   EXPECT_TRUE(after.newly_quarantined.empty());
   for (const auto& beat : after.heartbeats.beats) {

@@ -13,6 +13,7 @@
 //      (serial and pooled), convicting a hijack at the same edge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -61,11 +62,23 @@ std::string device_id(size_t i) {
   return "dev-" + std::string(n.size() < 2 ? 2 - n.size() : 0, '0') + n;
 }
 
-void provision_fleet(Fleet& fleet, size_t devices) {
+// The mixed fleet's policy per device: among kCfaBaseline devices, one
+// in eight each runs kCasu, kNone and kEilidHw.
+EnforcementPolicy mixed_policy(size_t i) {
+  switch (i % 8) {
+    case 5: return EnforcementPolicy::kCasu;
+    case 6: return EnforcementPolicy::kNone;
+    case 7: return EnforcementPolicy::kEilidHw;
+    default: return EnforcementPolicy::kCfaBaseline;
+  }
+}
+
+void provision_fleet(Fleet& fleet, size_t devices, bool mixed = false) {
   for (size_t i = 0; i < devices; ++i) {
     DeviceSession& dev =
         fleet.provision(device_id(i), firmware(0), "fw",
-                        EnforcementPolicy::kCfaBaseline,
+                        mixed ? mixed_policy(i)
+                              : EnforcementPolicy::kCfaBaseline,
                         {.cfa = {.log_capacity = 65536}});
     dev.run_to_symbol("halt", 100000);
   }
@@ -218,17 +231,39 @@ TEST(PagedMemoryTest, ResidencyTracksDirtiedPagesOnly) {
 }
 
 // A provisioned device's private cost is a handful of dirtied pages,
-// not the 64 KiB address space; reflash returns it to near-baseline.
+// not the 64 KiB address space, and it is deterministic, so it is
+// pinned exactly: per policy after the provision step (boot to halt,
+// then a 300-cycle halt-loop spin), and the mean and max over the
+// mixed fleet. Every device holds 4 KiB of page tables plus its
+// dirtied pages; a CFA device adds its log arena's first chunk, and a
+// rogue PMEM patch one more page. Reflash never grows it.
 TEST(PagedMemoryTest, SessionResidentBytesStayNearSharedImageCost) {
   Fleet fleet;
-  provision_fleet(fleet, 2);
-  DeviceSession& dev = fleet.at(device_id(0));
-  const size_t resident = dev.resident_memory_bytes();
-  // Page tables (~4 KiB) + a few RAM/stack pages + the CFA arena's
-  // first chunk: far below a flat 64 KiB copy.
-  EXPECT_LT(resident, 16384u);
+  provision_fleet(fleet, 8, /*mixed=*/true);
+  std::map<EnforcementPolicy, size_t> by_policy;
+  size_t total = 0;
+  size_t max = 0;
+  for (DeviceSession* dev : fleet.sessions()) {
+    dev->run(300);
+    const size_t bytes = dev->resident_memory_bytes();
+    const size_t pinned = by_policy.emplace(dev->policy(), bytes).first->second;
+    EXPECT_EQ(pinned, bytes) << dev->id() << ": same policy, same cost";
+    total += bytes;
+    max = std::max(max, bytes);
+  }
+  EXPECT_EQ(by_policy.at(EnforcementPolicy::kNone), 4352u);
+  EXPECT_EQ(by_policy.at(EnforcementPolicy::kCasu), 4352u);
+  EXPECT_EQ(by_policy.at(EnforcementPolicy::kCfaBaseline), 6400u);
+  EXPECT_EQ(by_policy.at(EnforcementPolicy::kEilidHw), 4608u);
+  EXPECT_EQ(total, 8 * 5664u);  // the mix's mean: 5,664 B per device
+  EXPECT_EQ(max, 6400u);
+
+  DeviceSession& dev = fleet.at(device_id(1));
+  diverge_out_of_band(fleet, dev.id());
+  const size_t diverged = dev.resident_memory_bytes();
+  EXPECT_EQ(diverged, 6656u);
   dev.reflash();
-  EXPECT_LE(dev.resident_memory_bytes(), resident);
+  EXPECT_LE(dev.resident_memory_bytes(), diverged);
 }
 
 // ---------------------------------------------- three-arm differential
@@ -379,16 +414,19 @@ struct WindowedScenarioResult {
 };
 
 // One evidence scenario, run identically against a barrier fleet and a
-// windowed fleet: run to halt, hijack one device, update-campaign a
-// second phase, run again. Returns both sides' folded summaries.
+// windowed fleet of mixed policies: run to halt, hijack one device,
+// update-campaign the CFA devices in a second phase, run again. The
+// devices without a CFA log share every phase, so the windowed
+// rotation must skip them exactly where the barrier sweep does.
+// Returns both sides' folded summaries.
 void run_identity_scenario(size_t devices, IncrementalOptions options,
                            common::ThreadPool* pool,
                            std::map<std::string, AttestSummary>& barrier_out,
                            std::map<std::string, AttestSummary>& windowed_out) {
   Fleet barrier_fleet;
   Fleet windowed_fleet;
-  provision_fleet(barrier_fleet, devices);
-  provision_fleet(windowed_fleet, devices);
+  provision_fleet(barrier_fleet, devices, /*mixed=*/true);
+  provision_fleet(windowed_fleet, devices, /*mixed=*/true);
   // Halt-loop iterations pad every device's log well past one slice
   // budget, so the windowed side genuinely slices.
   for (Fleet* fleet : {&barrier_fleet, &windowed_fleet}) {
@@ -405,14 +443,16 @@ void run_identity_scenario(size_t devices, IncrementalOptions options,
   barrier = fold_all(std::move(barrier), barrier_fleet.verifier().verify_all());
   drain_windowed(windowed_fleet, windowed, pool);
 
-  // Phase 2: a sanctioned campaign moves every device to firmware(1);
-  // its epoch markers land mid-window and must replay clean.
+  // Phase 2: a sanctioned campaign moves every CFA device to
+  // firmware(1); its epoch markers land mid-window and must replay
+  // clean.
   for (Fleet* fleet : {&barrier_fleet, &windowed_fleet}) {
     // Plain (uninstrumented) target: the devices' kCfaBaseline builds
     // are plain, and the transition must match shapes.
     UpdateCampaign campaign =
         fleet->stage_update(firmware(1), "fw", {.eilid = false});
     for (DeviceSession* dev : fleet->sessions()) {
+      if (dev->policy() != EnforcementPolicy::kCfaBaseline) continue;
       // dev-01 diverged, so its image mismatches the campaign diff;
       // reflash it first, as remediation would.
       if (dev->id() == device_id(1)) {
@@ -443,24 +483,25 @@ TEST(IncrementalVerifierTest, WindowedVerdictsMatchBarrierSweep) {
   std::map<std::string, AttestSummary> barrier;
   std::map<std::string, AttestSummary> windowed;
   run_identity_scenario(
-      6,
+      8,
       {.period = 5,
        .max_devices_per_tick = 2,
        .max_bytes_per_slice = 16 * cfa::LoggedEdge::kWireBytes},
       nullptr, barrier, windowed);
 
-  ASSERT_EQ(barrier.size(), 6u);
+  // Only the five CFA devices attest.
+  ASSERT_EQ(barrier.size(), 5u);
   EXPECT_EQ(barrier, windowed);
   // The hijacked device convicted, at the same first bad edge both
-  // ways; everyone else stayed clean.
+  // ways; every other CFA device stayed clean.
   EXPECT_FALSE(barrier.at(device_id(1)).path_ok);
   ASSERT_TRUE(barrier.at(device_id(1)).first_bad.has_value());
   EXPECT_EQ(barrier.at(device_id(1)).first_bad,
             windowed.at(device_id(1)).first_bad);
-  for (size_t i = 0; i < 6; ++i) {
-    if (i == 1) continue;
-    EXPECT_FALSE(barrier.at(device_id(i)).convicted()) << device_id(i);
-    EXPECT_GT(barrier.at(device_id(i)).edges, 0u) << device_id(i);
+  for (const auto& [id, summary] : barrier) {
+    if (id == device_id(1)) continue;
+    EXPECT_FALSE(summary.convicted()) << id;
+    EXPECT_GT(summary.edges, 0u) << id;
   }
 }
 
@@ -471,12 +512,12 @@ TEST(IncrementalVerifierTest, PooledWindowIsBitIdenticalToSerial) {
       .max_bytes_per_slice = 16 * cfa::LoggedEdge::kWireBytes};
   std::map<std::string, AttestSummary> barrier_serial;
   std::map<std::string, AttestSummary> serial;
-  run_identity_scenario(5, options, nullptr, barrier_serial, serial);
+  run_identity_scenario(8, options, nullptr, barrier_serial, serial);
 
   common::ThreadPool pool(4);
   std::map<std::string, AttestSummary> barrier_pooled;
   std::map<std::string, AttestSummary> pooled;
-  run_identity_scenario(5, options, &pool, barrier_pooled, pooled);
+  run_identity_scenario(8, options, &pool, barrier_pooled, pooled);
 
   EXPECT_EQ(serial, pooled);
   EXPECT_EQ(barrier_serial, barrier_pooled);
@@ -582,7 +623,7 @@ TEST(HeartbeatBackoffTest, UnreachableDevicesBackOffExponentially) {
 TEST(HeartbeatBackoffTest, BackoffScheduleIsDeterministicAndPoolInvariant) {
   auto run = [](common::ThreadPool* pool) {
     Fleet fleet;
-    provision_fleet(fleet, 4);
+    provision_fleet(fleet, 8, /*mixed=*/true);
     fleet.at(device_id(0)).set_online(false);
     fleet.at(device_id(3)).set_online(false);
     HeartbeatScheduler scheduler(
@@ -593,6 +634,7 @@ TEST(HeartbeatBackoffTest, BackoffScheduleIsDeterministicAndPoolInvariant) {
   };
   auto [report_a, records_a] = run(nullptr);
   auto [report_b, records_b] = run(nullptr);
+  EXPECT_EQ(records_a.size(), 5u);  // the mix's CFA devices only
   EXPECT_EQ(report_a, report_b);
   EXPECT_EQ(records_a, records_b);
   common::ThreadPool pool(4);

@@ -143,8 +143,8 @@ TEST(DifferentialCorpus, BoundedCorpusRunsCleanAcrossEnginesAndPolicies) {
 }
 
 TEST(DifferentialCorpus, SmokeCorpusCountsAreExact) {
-  // `bench_fuzz_soak --smoke`'s corpus (base seed 1, 500 programs, 24
-  // mutation seeds), with every count pinned: the harness is fully
+  // The CI-sized corpus (base seed 1, 500 programs, 24 mutation
+  // seeds), with every count pinned: the harness is fully
   // deterministic, so a change that moves any verdict -- a mutated case
   // flipping between convicted and refused, a mutator planning fewer
   // cases, an engine diverging -- fails here instead of in a bench log.

@@ -7,6 +7,10 @@
 // Every case is reproducible from its printed seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "apps/apps.h"
 #include "attacks/attack.h"
 #include "common/rng.h"
@@ -140,24 +144,64 @@ TEST_P(LegalPrograms, OriginalAndEilidComputeSameResult) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LegalPrograms,
                          ::testing::Range<uint64_t>(1, 25));
 
+// Counts how often each watched PC is about to execute -- the count
+// the attack engine's kAtPcHit trigger compares against. A per-step
+// monitor, so every fetch is seen.
+class EntryCounter : public sim::Monitor {
+ public:
+  explicit EntryCounter(std::vector<uint16_t> pcs)
+      : pcs_(std::move(pcs)), hits_(pcs_.size(), 0) {}
+  bool on_fetch(uint16_t pc, uint16_t prev_pc) override {
+    (void)prev_pc;
+    for (size_t i = 0; i < pcs_.size(); ++i) hits_[i] += pcs_[i] == pc;
+    return true;
+  }
+  unsigned hits(size_t i) const { return hits_[i]; }
+
+ private:
+  std::vector<uint16_t> pcs_;
+  std::vector<unsigned> hits_;
+};
+
 class CorruptedReturns : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CorruptedReturns, AlwaysCaughtBeforeUse) {
   uint64_t seed = GetParam();
   GeneratedProgram prog = generate(seed);
   core::BuildResult build = core::build_app(prog.source, "gen", {});
-  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
 
-  // Corrupt the freshly pushed return address at the entry of a random
-  // function (at its first instruction [SP] holds the return address).
+  // A benign run of the same build counts each function's entries, so
+  // the victim is drawn, by construction, from the functions entered
+  // at least as often as the trigger asks.
+  DeviceSession benign = standalone_session(build, /*halt_on_reset=*/true);
+  std::vector<uint16_t> entries;
+  for (int f = 0; f < prog.num_functions; ++f) {
+    entries.push_back(benign.symbol("f" + std::to_string(f)));
+  }
+  EntryCounter counter(entries);
+  benign.machine().add_monitor(&counter);
+  ASSERT_EQ(benign.run_to_symbol("halt", 2000000).cause,
+            sim::StopCause::kBreakpoint)
+      << "seed " << seed;
+  unsigned most = 0;  // >= 1: main always calls some function
+  for (size_t f = 0; f < entries.size(); ++f) {
+    most = std::max(most, counter.hits(f));
+  }
   common::SeededRng rng(seed * 977);
-  int victim = static_cast<int>(rng.below(
-      static_cast<uint64_t>(prog.num_functions)));
+  const unsigned hit =
+      static_cast<unsigned>(rng.range(1, static_cast<int>(std::min(most, 2u))));
+  std::vector<size_t> candidates;
+  for (size_t f = 0; f < entries.size(); ++f) {
+    if (counter.hits(f) >= hit) candidates.push_back(f);
+  }
+  const size_t victim = candidates[rng.below(candidates.size())];
+
+  // Corrupt the freshly pushed return address at the victim's entry
+  // (at its first instruction [SP] holds the return address).
+  DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   attacks::AttackEngine engine(device.machine());
   attacks::Attack attack;
-  attack.trigger = {attacks::Trigger::Kind::kAtPcHit,
-                    device.symbol("f" + std::to_string(victim)),
-                    static_cast<unsigned>(rng.range(1, 2))};
+  attack.trigger = {attacks::Trigger::Kind::kAtPcHit, entries[victim], hit};
   attacks::MemWrite w;
   w.sp_relative = true;
   w.addr = 0;
@@ -168,9 +212,7 @@ TEST_P(CorruptedReturns, AlwaysCaughtBeforeUse) {
   engine.schedule(attack);
 
   auto r = device.run_to_symbol("halt", 2000000);
-  if (engine.fired_count() == 0) {
-    GTEST_SKIP() << "victim f" << victim << " not reached often enough";
-  }
+  EXPECT_EQ(engine.fired_count(), 1u) << "seed " << seed;
   EXPECT_EQ(r.cause, sim::StopCause::kDeviceReset) << "seed " << seed;
   EXPECT_EQ(device.machine().resets().back().reason,
             sim::ResetReason::kCfiReturnMismatch)
