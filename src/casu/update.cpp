@@ -208,7 +208,7 @@ UpdateEngine::UpdateEngine(std::span<const uint8_t> device_key,
       machine_(machine),
       monitor_(monitor) {}
 
-UpdateStatus UpdateEngine::apply(const UpdatePackage& package) {
+UpdateStatus UpdateEngine::check(const UpdatePackage& package) {
   for (const auto& region : package.regions) {
     if (!sim::is_pmem(region.target_addr) ||
         region.target_addr + region.payload.size() > 0x10000) {
@@ -226,15 +226,13 @@ UpdateStatus UpdateEngine::apply(const UpdatePackage& package) {
     if (monitor_ != nullptr) monitor_->report_update_rollback();
     return UpdateStatus::kRollback;
   }
-  if (monitor_ != nullptr) monitor_->begin_update_session();
-  for (const auto& region : package.regions) {
-    machine_.bus().raw_store_bytes(
-        region.target_addr, std::span<const uint8_t>(region.payload.data(),
-                                                     region.payload.size()));
-  }
-  if (monitor_ != nullptr) monitor_->end_update_session();
-  version_ = package.version;
   return UpdateStatus::kApplied;
+}
+
+UpdateStatus UpdateEngine::apply(const UpdatePackage& package) {
+  const UpdateStatus status = check(package);
+  if (status != UpdateStatus::kApplied) return status;
+  return write(package, std::nullopt);
 }
 
 ChunkAck UpdateEngine::receive_chunk(const TransferChunk& chunk) {
@@ -304,31 +302,17 @@ UpdateStatus UpdateEngine::finalize_transfer(
     if (monitor_ != nullptr) monitor_->report_update_auth_failure();
     return UpdateStatus::kBadMac;
   }
-  UpdatePackage& package = *parsed;
-  for (const auto& region : package.regions) {
-    if (!sim::is_pmem(region.target_addr) ||
-        region.target_addr + region.payload.size() > 0x10000) {
-      return UpdateStatus::kBadRegion;
-    }
-  }
-  crypto::Digest expected = package_mac(update_key_, package);
-  if (!crypto::digest_equal(expected, package.mac)) {
-    if (monitor_ != nullptr) monitor_->report_update_auth_failure();
-    return UpdateStatus::kBadMac;
-  }
-  if (package.version <= version_) {
-    if (monitor_ != nullptr) monitor_->report_update_rollback();
-    return UpdateStatus::kRollback;
-  }
+  const UpdateStatus status = check(*parsed);
+  if (status != UpdateStatus::kApplied) return status;
   // Phase 1 done: the package is authentic and monotonic. Journal it
   // (non-volatile) so the swap survives any reset, then replay.
-  journal_.emplace(CommitJournal{std::move(package)});
+  journal_.emplace(CommitJournal{std::move(*parsed)});
   return commit(power_cut_after_regions);
 }
 
-UpdateStatus UpdateEngine::commit(
+UpdateStatus UpdateEngine::write(
+    const UpdatePackage& package,
     std::optional<size_t> power_cut_after_regions) {
-  const UpdatePackage& package = journal_->package;
   if (monitor_ != nullptr) monitor_->begin_update_session();
   size_t written = 0;
   for (const auto& region : package.regions) {
@@ -346,12 +330,19 @@ UpdateStatus UpdateEngine::commit(
     ++written;
   }
   if (monitor_ != nullptr) monitor_->end_update_session();
+  version_ = package.version;
+  return UpdateStatus::kApplied;
+}
+
+UpdateStatus UpdateEngine::commit(
+    std::optional<size_t> power_cut_after_regions) {
+  const UpdateStatus status =
+      write(journal_->package, power_cut_after_regions);
   // The version bump and the journal retiring are the atomic commit
   // point: before it the device is (after recovery replay) the old
   // image with the old counter, after it the new image with the new.
-  version_ = package.version;
-  journal_.reset();
-  return UpdateStatus::kApplied;
+  if (status == UpdateStatus::kApplied) journal_.reset();
+  return status;
 }
 
 bool UpdateEngine::recover_after_reset() {

@@ -240,6 +240,13 @@ class UpdateEngine {
     UpdatePackage package;
   };
 
+  // The one check sequence of apply() and finalize_transfer(): regions
+  // -> MAC -> anti-rollback, with the same latches. kApplied: passed.
+  UpdateStatus check(const UpdatePackage& package);
+  // Write the regions and bump the version, or stop after
+  // `power_cut_after_regions` regions with kInterrupted.
+  UpdateStatus write(const UpdatePackage& package,
+                     std::optional<size_t> power_cut_after_regions);
   UpdateStatus commit(std::optional<size_t> power_cut_after_regions);
 
   crypto::Digest update_key_;

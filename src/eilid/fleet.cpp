@@ -1,7 +1,6 @@
 #include "eilid/fleet.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/error.h"
 #include "eilid/rollout.h"
@@ -12,136 +11,49 @@ namespace eilid {
 // VerifierService
 // ------------------------------------------------------------------
 
-VerifierService::DeviceState VerifierService::make_state(
-    DeviceSession& session) {
-  if (session.cfa_monitor() == nullptr) {
-    throw FleetError("verifier: session '" + session.id() +
-                     "' has no CFA monitor (policy " +
-                     std::string(enforcement_policy_name(session.policy())) +
-                     "); only kCfaBaseline devices attest");
-  }
-  if (session.build().cfg == nullptr) {
-    throw FleetError("verifier: session '" + session.id() +
+VerifierService::Books VerifierService::open_books(
+    const std::string& device_id, const core::BuildResult& build,
+    const crypto::Digest& attest_key) {
+  if (build.cfg == nullptr) {
+    throw FleetError("verifier: device '" + device_id +
                      "' runs a build with no CFG to replay against "
                      "(build it with core::build_app or Fleet::build)");
   }
-  return DeviceState{
-      &session,
-      cfa::CfaVerifier(session.build().cfg, session.options().attest_key), 0};
+  return Books{cfa::CfaVerifier(build.cfg, attest_key), 0};
 }
 
-void VerifierService::enroll(DeviceSession& session) {
-  DeviceState state = make_state(session);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = devices_.try_emplace(session.id(), std::move(state));
-  (void)it;
-  if (!inserted) {
-    throw FleetError("verifier: device '" + session.id() +
-                     "' is already enrolled");
+VerifierService::Target VerifierService::resolve_locked(
+    DeviceSession& session) const {
+  auto it = fleet_.devices_.find(session.id());
+  if (it == fleet_.devices_.end() || it->second.session.get() != &session) {
+    // Standalone, decommissioned, or aliasing a deployed id: judging it
+    // against the entry's books would let it impersonate that device.
+    throw FleetError("verifier: session '" + session.id() +
+                     "' is not this fleet's device");
   }
+  Fleet::Entry& entry = it->second;
+  return Target{&session, entry.books.has_value() ? &*entry.books : nullptr};
 }
 
-bool VerifierService::enrolled(const std::string& device_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return devices_.count(device_id) != 0;
+VerifierService::Target VerifierService::resolve(
+    DeviceSession& session) const {
+  std::lock_guard<std::mutex> lock(fleet_.devices_mu_);
+  return resolve_locked(session);
 }
 
-void VerifierService::withdraw(const std::string& device_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  devices_.erase(device_id);
-}
-
-bool VerifierService::stage_cfg_swap(DeviceSession& session) {
-  std::shared_ptr<const cfa::Cfg> cfg = session.build().cfg;
-  if (session.cfa_monitor() == nullptr || cfg == nullptr) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = devices_.find(session.id());
-  if (it == devices_.end() || it->second.session != &session) return false;
-  // The caller holds session.mutex(), which is exactly the lock that
-  // guards this DeviceState's replay verifier.
-  it->second.verifier.queue_cfg_swap(std::move(cfg));
-  return true;
-}
-
-VerifierService::AttestResult VerifierService::attest(DeviceSession& session,
-                                                      size_t max_edges) {
-  AttestResult out;
-  out.device_id = session.id();
-  if (session.cfa_monitor() == nullptr) {
-    // Nothing to challenge: no on-device evidence exists. Report the
-    // gap instead of throwing so a sweep over a mixed-policy batch
-    // degrades per device rather than aborting.
-    return out;
+std::vector<VerifierService::Target> VerifierService::all_targets() const {
+  std::vector<Target> targets;
+  std::lock_guard<std::mutex> lock(fleet_.devices_mu_);
+  for (auto& [id, entry] : fleet_.devices_) {
+    if (entry.books.has_value()) {
+      targets.push_back({entry.session.get(), &*entry.books});
+    }
   }
-  DeviceState* state = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = devices_.find(session.id());
-    if (it != devices_.end()) state = &it->second;
-  }
-  if (state == nullptr) {
-    // First contact: build the replay state outside mu_, then race to
-    // insert it; a concurrent first contact may win, in which case its
-    // state is the one that counts.
-    DeviceState fresh = make_state(session);
-    std::lock_guard<std::mutex> lock(mu_);
-    state = &devices_.try_emplace(session.id(), std::move(fresh))
-                 .first->second;
-  }
-
-  // Per-device locking: DeviceState (replay verifier, expected_seq) is
-  // guarded by its *enrolled* session's mutex, and the session being
-  // drained by its own. They are the same object except when a caller
-  // attests a live session aliasing an enrolled id; then both locks
-  // are taken (std::lock, deadlock-free) so the sweep of the enrolled
-  // device and the aliased attest can never race on the shared state.
-  // The drained log is always the caller's session, never
-  // state->session: replaying somebody else's evidence would let an
-  // aliasing session impersonate a healthy device.
-  std::unique_lock<std::mutex> state_lock(state->session->mutex(),
-                                          std::defer_lock);
-  std::unique_lock<std::mutex> drain_lock(session.mutex(), std::defer_lock);
-  if (state->session == &session) {
-    state_lock.lock();
-  } else {
-    std::lock(state_lock, drain_lock);
-  }
-
-  out.attested = true;
-  out.tick = clock_ != nullptr ? clock_->now() : 0;
-
-  const uint64_t nonce =
-      nonce_counter_.fetch_add(1, std::memory_order_relaxed);
-  cfa::Report report = session.cfa_monitor()->take_report(
-      nonce, session.machine().cycles(), max_edges);
-  out.remaining = session.cfa_monitor()->log_size();
-  out.seq = report.seq;
-  out.cycle = report.cycle;
-  out.edges = report.edges.size();
-  out.dropped = report.dropped;
-  out.seq_ok = report.seq == state->expected_seq;
-  state->expected_seq = report.seq + 1;
-
-  cfa::CfaVerifier::Result v = state->verifier.verify(report, nonce);
-  out.mac_ok = v.mac_ok;
-  out.path_ok = v.path_ok;
-  out.first_bad = v.first_bad;
-  return out;
+  return targets;
 }
 
-std::vector<DeviceSession*> VerifierService::enrolled_sessions() const {
-  std::vector<DeviceSession*> sessions;
-  std::lock_guard<std::mutex> lock(mu_);
-  sessions.reserve(devices_.size());
-  for (const auto& [id, state] : devices_) {
-    (void)id;
-    sessions.push_back(state.session);
-  }
-  return sessions;
-}
-
-std::vector<DeviceSession*> VerifierService::ordered_subset(
-    const std::vector<DeviceSession*>& sessions) {
+std::vector<VerifierService::Target> VerifierService::subset_targets(
+    const std::vector<DeviceSession*>& sessions) const {
   std::vector<DeviceSession*> ordered;
   ordered.reserve(sessions.size());
   for (DeviceSession* session : sessions) {
@@ -160,38 +72,99 @@ std::vector<DeviceSession*> VerifierService::ordered_subset(
                        ordered[i]->id() + "' twice");
     }
   }
-  return ordered;
+  // Resolve every member before draining any, so a refused session
+  // leaves the whole subset's evidence where it was.
+  std::vector<Target> targets;
+  targets.reserve(ordered.size());
+  std::lock_guard<std::mutex> lock(fleet_.devices_mu_);
+  for (DeviceSession* session : ordered) {
+    targets.push_back(resolve_locked(*session));
+  }
+  return targets;
+}
+
+bool VerifierService::stage_cfg_swap(DeviceSession& session) {
+  Books* books = resolve(session).books;
+  std::shared_ptr<const cfa::Cfg> cfg = session.build().cfg;
+  if (books == nullptr || cfg == nullptr) return false;
+  // The caller holds session.mutex(), which is exactly the lock that
+  // guards the books' replay verifier.
+  books->verifier.queue_cfg_swap(std::move(cfg));
+  return true;
+}
+
+VerifierService::AttestResult VerifierService::attest(DeviceSession& session,
+                                                      size_t max_edges) {
+  return judge(resolve(session), max_edges);
+}
+
+VerifierService::AttestResult VerifierService::judge(const Target& target,
+                                                     size_t max_edges) {
+  DeviceSession& session = *target.session;
+  AttestResult out;
+  out.device_id = session.id();
+  if (target.books == nullptr) {
+    // Nothing to challenge: no on-device evidence exists. Report the
+    // gap instead of throwing so a sweep over a mixed-policy batch
+    // degrades per device rather than aborting.
+    return out;
+  }
+  // Per-device locking: the session mutex guards both the log being
+  // drained and the books it is judged against.
+  std::lock_guard<std::mutex> lock(session.mutex());
+  Books& books = *target.books;
+
+  out.attested = true;
+  out.tick = fleet_.clock().now();
+
+  const uint64_t nonce =
+      nonce_counter_.fetch_add(1, std::memory_order_relaxed);
+  cfa::Report report = session.cfa_monitor()->take_report(
+      nonce, session.machine().cycles(), max_edges);
+  out.remaining = session.cfa_monitor()->log_size();
+  out.seq = report.seq;
+  out.cycle = report.cycle;
+  out.edges = report.edges.size();
+  out.dropped = report.dropped;
+  out.seq_ok = report.seq == books.expected_seq;
+  books.expected_seq = report.seq + 1;
+
+  cfa::CfaVerifier::Result v = books.verifier.verify(report, nonce);
+  out.mac_ok = v.mac_ok;
+  out.path_ok = v.path_ok;
+  out.first_bad = v.first_bad;
+  return out;
 }
 
 std::vector<VerifierService::AttestResult> VerifierService::sweep(
-    const std::vector<DeviceSession*>& ordered, common::ThreadPool* pool) {
+    const std::vector<Target>& targets, common::ThreadPool* pool) {
   // Results land by index: pooled workers interleave, but the output
   // order is deterministic and the verdicts match the serial sweep
   // because each device's evidence, replay state and sequence window
   // are private to it.
-  std::vector<AttestResult> out(ordered.size());
-  common::for_each_index(pool, ordered.size(),
-                         [&](size_t i) { out[i] = attest(*ordered[i]); });
+  std::vector<AttestResult> out(targets.size());
+  common::for_each_index(pool, targets.size(),
+                         [&](size_t i) { out[i] = judge(targets[i], 0); });
   return out;
 }
 
 std::vector<VerifierService::AttestResult> VerifierService::verify_all() {
-  return sweep(enrolled_sessions(), nullptr);
+  return sweep(all_targets(), nullptr);
 }
 
 std::vector<VerifierService::AttestResult> VerifierService::verify_all(
     common::ThreadPool& pool) {
-  return sweep(enrolled_sessions(), &pool);
+  return sweep(all_targets(), &pool);
 }
 
 std::vector<VerifierService::AttestResult> VerifierService::verify_all(
     const std::vector<DeviceSession*>& sessions) {
-  return sweep(ordered_subset(sessions), nullptr);
+  return sweep(subset_targets(sessions), nullptr);
 }
 
 std::vector<VerifierService::AttestResult> VerifierService::verify_all(
     const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool) {
-  return sweep(ordered_subset(sessions), &pool);
+  return sweep(subset_targets(sessions), &pool);
 }
 
 // ------------------------------------------------------------------
@@ -250,11 +223,7 @@ crypto::Digest build_key(const std::string& source, const std::string& name,
 
 }  // namespace
 
-Fleet::Fleet(FleetOptions options) : options_(std::move(options)) {
-  // The fleet's verifier stamps verdicts with fleet time; both live
-  // exactly as long as the Fleet.
-  verifier_.attach_clock(&clock_);
-}
+Fleet::Fleet(FleetOptions options) : options_(std::move(options)) {}
 
 std::shared_ptr<const core::BuildResult> Fleet::build(
     const std::string& source, const std::string& name,
@@ -337,76 +306,37 @@ CampaignScheduler Fleet::plan_rollout(
                       std::move(plan));
 }
 
-Fleet::Shard& Fleet::shard_for(const std::string& device_id) {
-  return shards_[std::hash<std::string>{}(device_id) % kShardCount];
-}
-
-const Fleet::Shard& Fleet::shard_for(const std::string& device_id) const {
-  return shards_[std::hash<std::string>{}(device_id) % kShardCount];
-}
-
 DeviceSession& Fleet::deploy(const std::string& device_id,
                              std::shared_ptr<const core::BuildResult> build,
                              EnforcementPolicy policy, SessionOptions options) {
-  Shard& shard = shard_for(device_id);
   {
     // Fast-fail a duplicate id before paying for session construction
     // (flash + power-on); the try_emplace below stays authoritative
     // for ids racing past this check.
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.sessions.count(device_id) != 0) {
+    std::lock_guard<std::mutex> lock(devices_mu_);
+    if (devices_.count(device_id) != 0) {
       throw FleetError("fleet: device id '" + device_id +
                        "' already deployed");
     }
   }
   options.attest_key = device_key(device_id);
   options.update_key = update_key(device_id);
+  std::optional<VerifierService::Books> books;
+  if (policy == EnforcementPolicy::kCfaBaseline) {
+    books = VerifierService::open_books(device_id, *build, options.attest_key);
+  }
   auto session = std::make_unique<DeviceSession>(device_id, std::move(build),
                                                  policy, options);
-  DeviceSession& ref = *session;
-
-  // Enroll while the session is still privately owned, publish last:
-  // a published session can then never be rolled back, so pointers
-  // handed out by find()/sessions() stay valid until decommission, and
-  // a rollback (enroll or publication failing) withdraws the
-  // enrollment *before* the local unique_ptr destroys the session --
-  // the verifier never holds a dangling DeviceSession* (the old
-  // enroll-first code had no such rollback and leaked one if a later
-  // step threw).
-  bool enrolled_here = false;
-  try {
-    if (policy == EnforcementPolicy::kCfaBaseline) {
-      verifier_.enroll(ref);
-      enrolled_here = true;
-    }
-    // Publish shard entry and order_ slot in one critical section
-    // (lock order: shard.mu, then order_mu_) so the two indexes stay
-    // consistent for every concurrent observer. The order_ slot is
-    // reserved before the shard insert: once the session is visible in
-    // the shard, the remaining push_back cannot throw, so publication
-    // is all-or-nothing.
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::lock_guard<std::mutex> order_lock(order_mu_);
-    order_.reserve(order_.size() + 1);
-    auto [it, inserted] = shard.sessions.try_emplace(device_id,
-                                                     std::move(session));
-    (void)it;
-    if (!inserted) {
-      throw FleetError("fleet: device id '" + device_id +
-                       "' already deployed");
-    }
-    order_.push_back(&ref);
-  } catch (...) {
-    // Withdraw only what *this* deploy enrolled (an enrollment that
-    // predates the call -- e.g. a standalone session claimed the id --
-    // is not ours to undo). `session` may still own the object (publish
-    // not reached / try_emplace failed), in which case it is destroyed
-    // on unwind, after the withdraw.
-    if (enrolled_here) verifier_.withdraw(device_id);
-    throw;
+  // The one publication step: nothing before it is visible, so a deploy
+  // that throws anywhere leaves no trace.
+  std::lock_guard<std::mutex> lock(devices_mu_);
+  auto [it, inserted] = devices_.try_emplace(
+      device_id, Entry{std::move(session), next_deployed_, std::move(books)});
+  if (!inserted) {
+    throw FleetError("fleet: device id '" + device_id + "' already deployed");
   }
-  count_.fetch_add(1, std::memory_order_relaxed);
-  return ref;
+  ++next_deployed_;
+  return *it->second.session;
 }
 
 DeviceSession& Fleet::provision(const std::string& device_id,
@@ -420,10 +350,9 @@ DeviceSession& Fleet::provision(const std::string& device_id,
 }
 
 DeviceSession* Fleet::find(const std::string& device_id) {
-  Shard& shard = shard_for(device_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.sessions.find(device_id);
-  return it == shard.sessions.end() ? nullptr : it->second.get();
+  std::lock_guard<std::mutex> lock(devices_mu_);
+  auto it = devices_.find(device_id);
+  return it == devices_.end() ? nullptr : it->second.session.get();
 }
 
 DeviceSession& Fleet::at(const std::string& device_id) {
@@ -434,32 +363,48 @@ DeviceSession& Fleet::at(const std::string& device_id) {
   return *session;
 }
 
+size_t Fleet::size() const {
+  std::lock_guard<std::mutex> lock(devices_mu_);
+  return devices_.size();
+}
+
 std::vector<DeviceSession*> Fleet::sessions() const {
-  std::lock_guard<std::mutex> lock(order_mu_);
-  return order_;
+  std::vector<std::pair<uint64_t, DeviceSession*>> by_deployment;
+  {
+    std::lock_guard<std::mutex> lock(devices_mu_);
+    by_deployment.reserve(devices_.size());
+    for (const auto& [id, entry] : devices_) {
+      by_deployment.emplace_back(entry.deployed, entry.session.get());
+    }
+  }
+  std::sort(by_deployment.begin(), by_deployment.end());
+  std::vector<DeviceSession*> out;
+  out.reserve(by_deployment.size());
+  for (const auto& [deployed, session] : by_deployment) out.push_back(session);
+  return out;
+}
+
+std::vector<Fleet::CfaDevice> Fleet::cfa_devices() const {
+  std::vector<CfaDevice> out;
+  std::lock_guard<std::mutex> lock(devices_mu_);
+  for (const auto& [id, entry] : devices_) {
+    if (entry.books.has_value()) {
+      out.push_back({entry.session.get(), entry.deployed});
+    }
+  }
+  return out;
 }
 
 void Fleet::decommission(const std::string& device_id) {
-  Shard& shard = shard_for(device_id);
-  std::unique_ptr<DeviceSession> doomed;
+  std::map<std::string, Entry>::node_type doomed;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.sessions.find(device_id);
-    if (it == shard.sessions.end()) {
-      throw FleetError("fleet: unknown device id '" + device_id + "'");
-    }
-    doomed = std::move(it->second);
-    shard.sessions.erase(it);
-    // Same critical section as deploy's insert+push, so the order_
-    // entry always exists here (the find guard is belt-and-braces
-    // against any future path that publishes the indexes separately).
-    std::lock_guard<std::mutex> order_lock(order_mu_);
-    auto order_it = std::find(order_.begin(), order_.end(), doomed.get());
-    if (order_it != order_.end()) order_.erase(order_it);
+    std::lock_guard<std::mutex> lock(devices_mu_);
+    doomed = devices_.extract(device_id);
   }
-  verifier_.withdraw(device_id);
-  count_.fetch_sub(1, std::memory_order_relaxed);
-  // `doomed` is destroyed last, after every index has forgotten it.
+  if (doomed.empty()) {
+    throw FleetError("fleet: unknown device id '" + device_id + "'");
+  }
+  // The session and its books die here, outside the registry lock.
 }
 
 }  // namespace eilid

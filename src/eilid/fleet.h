@@ -75,19 +75,26 @@
 //   Thread-safe (internally synchronized):
 //     - Fleet::build()/provision()/deploy(): the build cache is
 //       single-flight -- concurrent builds of the same content hash
-//       run the pipeline once and every caller shares the one result;
-//       the device registry is sharded by device-id hash, so deploys
-//       of distinct ids proceed in parallel.
-//     - Fleet::find()/at()/size()/sessions()/decommission() against
-//       concurrent deploys of *other* ids.
-//     - VerifierService::enroll()/attest()/verify_all()/enrolled():
-//       every verdict -- a direct attest(), a bounded attest(session,
-//       max_edges) slice, or one device of any verify_all sweep --
-//       runs the one attest() body, which locks that DeviceSession
-//       (per-device locking), so disjoint devices attest in parallel
-//       and the same device is never attested twice at once. A wave
-//       gate and a concurrent whole-fleet sweep serialize per device
-//       and interleave across devices.
+//       run the pipeline once and every caller shares the one result.
+//       The device registry is one id-ordered table under one mutex:
+//       each entry holds the session, its deployment sequence number
+//       and, for kCfaBaseline devices, the verifier's books for it
+//       (replay state and expected report sequence). Deploy builds the
+//       books and the session outside the lock and inserts the entry
+//       once, so concurrent deploys serialize only on that insert.
+//     - Fleet::find()/at()/size()/sessions()/cfa_devices()/
+//       decommission() against concurrent deploys of *other* ids.
+//     - VerifierService::attest()/verify_all(): every verdict -- a
+//       direct attest(), a bounded attest(session, max_edges) slice,
+//       or one device of any verify_all sweep -- resolves the session
+//       to its registry entry, then runs the one verdict body under
+//       that DeviceSession's mutex, which also guards the entry's
+//       books: disjoint devices attest in parallel and the same device
+//       is never attested twice at once. A wave gate and a concurrent
+//       whole-fleet sweep serialize per device and interleave across
+//       devices. A session that is not this fleet's entry for its id
+//       (standalone, or aliasing a deployed id) is refused with
+//       FleetError before anything is drained.
 //     - apps::run_workload_all(): drives disjoint sessions
 //       concurrently, taking each session's lock for the duration.
 //     - UpdateCampaign::apply_to()/roll_out(): each device updates
@@ -130,20 +137,23 @@
 //       DeviceSession::mutex() when driving a session that a
 //       concurrent attestation sweep may also touch (run_workload_all
 //       and VerifierService already do).
-//     - decommission()/withdraw() of a device must not race attest()/
+//     - decommission() of a device must not race attest()/
 //       verify_all() or any use of that device's session pointer: the
 //       registry hands out raw DeviceSession pointers that die with
-//       decommission. Quiesce sweeps first. Likewise, lifecycle calls
-//       for the *same* id (deploy vs decommission) must be externally
-//       ordered -- a device cannot be retired while it is still being
-//       deployed.
+//       decommission, together with the device's verifier books.
+//       Quiesce sweeps first. Likewise, lifecycle calls for the *same*
+//       id (deploy vs decommission) must be externally ordered -- a
+//       device cannot be retired while it is still being deployed. A
+//       redeploy of a decommissioned id is a new device: fresh books,
+//       a new deployment sequence number, and the fleet-time
+//       schedulers re-adopt it with fresh records.
 //
 // A single standalone device is one DeviceSession constructed directly
-// on a core::build_app result.
+// on a core::build_app result. It belongs to no fleet, so no fleet's
+// verifier attests it.
 #ifndef EILID_EILID_FLEET_H
 #define EILID_EILID_FLEET_H
 
-#include <array>
 #include <atomic>
 #include <future>
 #include <map>
@@ -162,12 +172,15 @@
 namespace eilid {
 
 class CampaignScheduler;
+class Fleet;
 struct RolloutPlan;
 
-// Verifier half of the CFA baseline, fleet-wide: one instance tracks
-// every enrolled device's MAC key, challenge nonce and stateful path
-// replay *independently*, so one device's compromise (or power cycle)
-// never perturbs another's attestation history.
+// Verifier half of the CFA baseline, fleet-wide: attests every
+// kCfaBaseline device of its fleet against that device's own MAC key,
+// challenge nonce and stateful path replay, so one device's compromise
+// (or power cycle) never perturbs another's attestation history. The
+// per-device books live in the fleet's registry entry for the device;
+// the service itself holds no device list of its own.
 class VerifierService {
  public:
   struct AttestResult {
@@ -177,8 +190,7 @@ class VerifierService {
                             // are meaningless and left false)
     uint32_t seq = 0;
     uint64_t cycle = 0;     // device cycle at report emission
-    Tick tick = 0;          // fleet time at verification (0 when the
-                            // service has no clock attached) -- the
+    Tick tick = 0;          // fleet time at verification -- the
                             // freshness primitive: health monitoring
                             // judges *when* evidence last verified, not
                             // just whether it did
@@ -202,106 +214,97 @@ class VerifierService {
     bool operator==(const AttestResult&) const = default;
   };
 
-  // Register a session for attestation: extracts the CFG from its
-  // build and initialises fresh per-device replay state. Throws
-  // eilid::FleetError when the session has no CFA monitor or is
-  // already enrolled. attest() enrolls on first contact
-  // automatically. The service keeps a reference for verify_all(): an
-  // enrolled session must outlive the service or be withdraw()n first
-  // (Fleet::decommission does this for fleet-owned sessions).
-  void enroll(DeviceSession& session);
-  bool enrolled(const std::string& device_id) const;
-
   // Challenge one device now: fresh nonce, drain at most `max_edges`
   // edges of its log (0 = everything), check MAC + sequence + path.
   // Every verdict the service issues -- sweeps included -- comes from
   // this one body. Replay state persists across calls, so a sequence of
   // bounded slices replays exactly the evidence one full drain would,
   // in order, and a hijack is convicted at the same edge (see
-  // eilid::IncrementalVerifier, which schedules slices). A session
-  // with no CFA monitor is not an error -- there is simply no evidence
-  // to collect -- so the result comes back with attested = false
-  // (ok() false) and the session is not enrolled.
+  // eilid::IncrementalVerifier, which schedules slices). A fleet
+  // session with no CFA monitor is not an error -- there is simply no
+  // evidence to collect -- so the result comes back with attested =
+  // false (ok() false). Throws eilid::FleetError, draining nothing,
+  // when `session` is not the fleet's registry entry for its id.
   AttestResult attest(DeviceSession& session, size_t max_edges = 0);
 
-  // Batched sweep over every enrolled device, in enrollment-id order.
+  // Batched sweep over every kCfaBaseline device, in device-id order.
   // The overload fans the sweep out across the pool's workers with
   // per-device locking; its results are identical to the serial sweep
-  // (same verdicts, same enrollment-id order) because every device's
-  // replay state and sequence window are independent and nonces only
-  // feed the per-report MAC.
+  // (same verdicts, same id order) because every device's replay state
+  // and sequence window are independent and nonces only feed the
+  // per-report MAC.
   std::vector<AttestResult> verify_all();
   std::vector<AttestResult> verify_all(common::ThreadPool& pool);
 
   // Subset sweep: attest exactly `sessions` (a rollout wave, a canary
-  // cohort) instead of every enrolled device -- devices outside the
-  // subset are not swept, so a wave gate never drains evidence from
-  // devices still on the old build. Results come back in
-  // enrollment-id order regardless of the input order, matching the
-  // whole-fleet sweep's contract, and each attestation takes the
-  // device's session mutex, so a subset sweep interleaves safely with
-  // a concurrent full sweep or workload driver. A session with no CFA
-  // monitor yields an attested = false entry (never ok()); an
-  // un-enrolled CFA session is enrolled on first contact, exactly like
-  // attest(). Throws eilid::FleetError on a null session or a
-  // duplicate device id in the subset. The pooled overload fans out
-  // with per-device locking and returns results identical to the
-  // serial subset sweep.
+  // cohort) instead of every device -- devices outside the subset are
+  // not swept, so a wave gate never drains evidence from devices still
+  // on the old build. Results come back in device-id order regardless
+  // of the input order, matching the whole-fleet sweep's contract, and
+  // each attestation takes the device's session mutex, so a subset
+  // sweep interleaves safely with a concurrent full sweep or workload
+  // driver. A session with no CFA monitor yields an attested = false
+  // entry (never ok()). Throws eilid::FleetError, before draining any
+  // device, on a null session, a duplicate device id, or a session
+  // that is not the fleet's registry entry for its id. The pooled
+  // overload fans out with per-device locking and returns results
+  // identical to the serial subset sweep.
   std::vector<AttestResult> verify_all(
       const std::vector<DeviceSession*>& sessions);
   std::vector<AttestResult> verify_all(
       const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool);
-
-  // Forget a device (its session is going away). Must not race a
-  // sweep or attest() of the same device.
-  void withdraw(const std::string& device_id);
-
-  // Stamp every subsequent verdict with `clock`'s tick at verification
-  // (AttestResult::tick; 0 when never attached). Fleet attaches its own
-  // clock at construction; call at most once, before any attestation --
-  // the pointer must outlive the service.
-  void attach_clock(const FleetClock* clock) { clock_ = clock; }
 
   // Sanction the code change `session` just logged: stage a replay-CFG
   // swap to the CFG of the session's *current* build (BuildResult::cfg,
   // shared by every device of that build), taking effect when the
   // device's evidence stream reaches its update marker. Caller must
   // hold session.mutex() (UpdateCampaign does). Returns false -- and
-  // stages nothing -- for a session with no CFA monitor, one whose
-  // build carries no CFG, one this service has not enrolled, or one
-  // whose id is enrolled against a different live session.
+  // stages nothing -- for a session with no CFA monitor or one whose
+  // build carries no CFG. Throws eilid::FleetError when `session` is
+  // not the fleet's registry entry for its id.
   bool stage_cfg_swap(DeviceSession& session);
 
  private:
-  struct DeviceState {
-    DeviceSession* session = nullptr;
+  friend class Fleet;
+
+  // The verifier's books for one kCfaBaseline device, held in the
+  // device's registry entry and guarded by its session mutex.
+  struct Books {
     cfa::CfaVerifier verifier;
     uint32_t expected_seq = 0;
   };
+  explicit VerifierService(Fleet& fleet) : fleet_(fleet) {}
 
-  // Build fresh replay state for a session. Throws when it has no CFA
-  // monitor or its build no CFG. The CFG is the build's own
-  // (BuildResult::cfg, extracted once per build) and shared read-only
-  // by every device flashed from it.
-  DeviceState make_state(DeviceSession& session);
-  // Every enrolled session, in enrollment-id (map) order.
-  std::vector<DeviceSession*> enrolled_sessions() const;
-  // Validated copy of a subset in enrollment-id order (throws on null
-  // pointers and duplicate ids).
-  static std::vector<DeviceSession*> ordered_subset(
-      const std::vector<DeviceSession*>& sessions);
-  // The one sweep body behind every verify_all overload: attest() each
-  // of the id-ordered `sessions`, serially (null pool) or pooled.
-  std::vector<AttestResult> sweep(const std::vector<DeviceSession*>& sessions,
+  // Fresh books replaying against `build`'s own CFG (shared read-only
+  // by every device of the build). Throws when the build has none.
+  static Books open_books(const std::string& device_id,
+                          const core::BuildResult& build,
+                          const crypto::Digest& attest_key);
+  // A session resolved to its registry entry: `books` is null for a
+  // device with no CFA monitor.
+  struct Target {
+    DeviceSession* session = nullptr;
+    Books* books = nullptr;
+  };
+
+  // The registry entry behind `session`; throws when it is not the
+  // fleet's entry for its id. _locked: caller holds devices_mu_.
+  Target resolve(DeviceSession& session) const;
+  Target resolve_locked(DeviceSession& session) const;
+  std::vector<Target> all_targets() const;  // kCfaBaseline, id order
+  // A validated subset in id order: throws on a null session, a
+  // duplicate id or a session that resolve() refuses.
+  std::vector<Target> subset_targets(
+      const std::vector<DeviceSession*>& sessions) const;
+  // The verdict body: drain and judge one resolved device.
+  AttestResult judge(const Target& target, size_t max_edges);
+  // The one sweep body behind every verify_all overload: judge each of
+  // the id-ordered `targets`, serially (null pool) or pooled.
+  std::vector<AttestResult> sweep(const std::vector<Target>& targets,
                                   common::ThreadPool* pool);
 
-  mutable std::mutex mu_;  // guards devices_ (the map structure only;
-                           // per-device state is guarded by the
-                           // session's own mutex)
-  std::map<std::string, DeviceState> devices_;
+  Fleet& fleet_;
   std::atomic<uint64_t> nonce_counter_{1};
-
-  const FleetClock* clock_ = nullptr;  // set once, before attestation
 };
 
 struct FleetOptions {
@@ -335,11 +338,10 @@ class Fleet {
 
   // --- device registry ---------------------------------------------
   // Flash a cached build onto a new device. Throws eilid::FleetError
-  // on a duplicate id or a policy/build mismatch. kCfaBaseline
-  // sessions are auto-enrolled with the verifier. Exception-safe: a
-  // deploy that fails at any step (construction, duplicate id,
-  // enrollment) leaves neither the registry nor the verifier holding
-  // the half-deployed session.
+  // on a duplicate id, a policy/build mismatch, or a kCfaBaseline
+  // build with no CFG for the verifier to replay against. kCfaBaseline
+  // devices get fresh verifier books in their registry entry. A deploy
+  // that throws leaves no trace: the entry is inserted once, last.
   DeviceSession& deploy(const std::string& device_id,
                         std::shared_ptr<const core::BuildResult> build,
                         EnforcementPolicy policy, SessionOptions options = {});
@@ -354,10 +356,21 @@ class Fleet {
   DeviceSession* find(const std::string& device_id);
   DeviceSession& at(const std::string& device_id);  // throws FleetError
   void decommission(const std::string& device_id);
-  size_t size() const { return count_.load(); }
+  size_t size() const;
   // Snapshot of the registry in deployment order. The pointers stay
   // valid until the corresponding device is decommissioned.
   std::vector<DeviceSession*> sessions() const;
+
+  // A kCfaBaseline device as the fleet-time schedulers track it.
+  struct CfaDevice {
+    DeviceSession* session = nullptr;
+    // Deployment sequence number (never 0): a decommissioned id that
+    // is deployed again comes back as a new device with a new number.
+    uint64_t deployed = 0;
+  };
+  // Snapshot of the kCfaBaseline devices -- the ones that emit
+  // evidence -- in device-id order. Pointers stay valid as above.
+  std::vector<CfaDevice> cfa_devices() const;
 
   // --- update campaigns --------------------------------------------
   // Stage a secure update of fleet sessions onto `target` (normally a
@@ -405,16 +418,15 @@ class Fleet {
   crypto::Digest update_key(const std::string& device_id) const;
 
  private:
-  // Registry shard: deploys/lookups of ids that hash to different
-  // shards never contend on a lock.
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, std::unique_ptr<DeviceSession>> sessions;
-  };
-  static constexpr size_t kShardCount = 16;
+  friend class VerifierService;  // reads and resolves registry entries
 
-  Shard& shard_for(const std::string& device_id);
-  const Shard& shard_for(const std::string& device_id) const;
+  // One deployed device: the registry's only record of it.
+  struct Entry {
+    std::unique_ptr<DeviceSession> session;
+    uint64_t deployed = 0;  // deployment sequence number
+    // kCfaBaseline only; guarded by session->mutex(), not devices_mu_.
+    std::optional<VerifierService::Books> books;
+  };
 
   FleetOptions options_;
 
@@ -427,14 +439,12 @@ class Fleet {
   std::atomic<size_t> cache_hits_{0};
   std::atomic<size_t> pipeline_runs_{0};
 
-  std::array<Shard, kShardCount> shards_;
-  std::atomic<size_t> count_{0};
-  mutable std::mutex order_mu_;
-  std::vector<DeviceSession*> order_;  // deployment order
+  mutable std::mutex devices_mu_;  // guards devices_ and next_deployed_
+  std::map<std::string, Entry> devices_;  // in device-id order
+  uint64_t next_deployed_ = 1;
 
-  FleetClock clock_;  // declared before verifier_: the verifier holds a
-                      // pointer to it for its whole life
-  VerifierService verifier_;
+  FleetClock clock_;
+  VerifierService verifier_{*this};
 };
 
 }  // namespace eilid

@@ -1,7 +1,6 @@
 #include "eilid/health.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "common/rng.h"
@@ -39,34 +38,33 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
   HeartbeatReport report;
   report.from = clock.now();
 
-  // Adopt/prune against one registry snapshot: devices deployed since
-  // the last run join with enrollment == now, decommissioned ids drop
-  // out (their session pointers are gone). Only CFA-capable devices
-  // emit announcements, so only they are watched.
-  const std::vector<DeviceSession*> snapshot = fleet_->sessions();
-  std::map<std::string, DeviceSession*> by_id;
-  for (DeviceSession* session : snapshot) {
-    if (session->cfa_monitor() == nullptr) continue;
-    by_id.emplace(session->id(), session);
-  }
+  // Adopt and prune by merge-walking the records against the registry's
+  // id-ordered CFA devices (only they emit announcements): devices
+  // deployed since the last run join with enrollment == now,
+  // decommissioned ids drop out (their session pointers are gone), and
+  // an id deployed again since then restarts with a fresh record.
+  const std::vector<Fleet::CfaDevice> devices = fleet_->cfa_devices();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = records_.begin(); it != records_.end();) {
-      if (by_id.count(it->first) == 0) {
-        it = records_.erase(it);
-      } else {
-        ++it;
-      }
-    }
     const Tick now = clock.now();
-    for (const auto& [id, session] : by_id) {
-      if (records_.count(id) != 0) continue;
-      FreshnessRecord record;
-      record.device_id = id;
-      record.enrolled_tick = now;
-      record.next_due = now + options_.period + phase_for(id);
-      records_.emplace(id, std::move(record));
+    auto it = records_.begin();
+    for (const Fleet::CfaDevice& device : devices) {
+      const std::string& id = device.session->id();
+      while (it != records_.end() && it->first < id) it = records_.erase(it);
+      if (it == records_.end() || it->first != id) {
+        it = records_.emplace_hint(it, id, Watched{});
+      }
+      Watched& watched = it->second;
+      if (watched.device.deployed != device.deployed) {
+        watched.device = device;
+        watched.record = FreshnessRecord{};
+        watched.record.device_id = id;
+        watched.record.enrolled_tick = now;
+        watched.record.next_due = now + options_.period + phase_for(id);
+      }
+      ++it;
     }
+    records_.erase(it, records_.end());
   }
 
   // Fire beats in (tick, device-id) order: repeatedly find the earliest
@@ -75,18 +73,19 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
   // free within a beat.
   for (;;) {
     Tick due = 0;
-    std::vector<std::string> due_ids;
+    std::vector<DeviceSession*> due_devices;
     {
       std::lock_guard<std::mutex> lock(mu_);
       bool found = false;
-      for (const auto& [id, record] : records_) {
-        if (record.next_due > deadline) continue;
-        if (!found || record.next_due < due) {
+      for (const auto& [id, watched] : records_) {
+        const Tick next_due = watched.record.next_due;
+        if (next_due > deadline) continue;
+        if (!found || next_due < due) {
           found = true;
-          due = record.next_due;
-          due_ids.clear();
+          due = next_due;
+          due_devices.clear();
         }
-        if (found && record.next_due == due) due_ids.push_back(id);
+        if (next_due == due) due_devices.push_back(watched.device.session);
       }
       if (!found) break;
     }
@@ -96,12 +95,11 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
     beat.tick = due;
 
     std::vector<DeviceSession*> online;
-    for (const std::string& id : due_ids) {
-      DeviceSession* session = by_id.at(id);
+    for (DeviceSession* session : due_devices) {
       if (session->online()) {
         online.push_back(session);
       } else {
-        beat.missed.push_back(id);
+        beat.missed.push_back(session->id());
       }
     }
     if (!online.empty()) {
@@ -113,7 +111,7 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const std::string& id : beat.missed) {
-        FreshnessRecord& record = records_.at(id);
+        FreshnessRecord& record = records_.at(id).record;
         ++record.misses;
         ++record.consecutive_misses;
         // Exponential backoff (see HeartbeatOptions): the k-th
@@ -126,7 +124,7 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
         record.next_due += options_.period << exponent;
       }
       for (const VerifierService::AttestResult& verdict : beat.verdicts) {
-        FreshnessRecord& record = records_.at(verdict.device_id);
+        FreshnessRecord& record = records_.at(verdict.device_id).record;
         ++record.heartbeats;
         record.consecutive_misses = 0;  // evidence arrived: cadence snaps back
         record.last_attested_tick = due;
@@ -155,14 +153,14 @@ std::vector<FreshnessRecord> HeartbeatScheduler::records() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<FreshnessRecord> out;
   out.reserve(records_.size());
-  for (const auto& [id, record] : records_) out.push_back(record);
+  for (const auto& [id, watched] : records_) out.push_back(watched.record);
   return out;
 }
 
 FreshnessRecord HeartbeatScheduler::record(const std::string& device_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = records_.find(device_id);
-  return it == records_.end() ? FreshnessRecord{} : it->second;
+  return it == records_.end() ? FreshnessRecord{} : it->second.record;
 }
 
 void HeartbeatScheduler::note_remediated(const std::string& device_id,
@@ -170,7 +168,7 @@ void HeartbeatScheduler::note_remediated(const std::string& device_id,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = records_.find(device_id);
   if (it == records_.end()) return;
-  FreshnessRecord& record = it->second;
+  FreshnessRecord& record = it->second.record;
   record.consecutive_misses = 0;
   record.last_attested_tick = tick;
   record.last_ok_tick = tick;
@@ -193,9 +191,7 @@ std::string_view quarantine_reason_name(QuarantineReason reason) {
 
 QuarantineReason assess(const FreshnessRecord& record, Tick now,
                         const HealthPolicy& policy) {
-  if (policy.quarantine_convicted && record.convicted) {
-    return QuarantineReason::kConvicted;
-  }
+  if (record.convicted) return QuarantineReason::kConvicted;
   // Staleness is measured from the last *clean* verdict -- evidence
   // that keeps arriving but never verifies is exactly as stale as
   // silence. A device that has never verified clean ages from its
@@ -208,6 +204,25 @@ QuarantineReason assess(const FreshnessRecord& record, Tick now,
 }
 
 // --- HealthMonitor --------------------------------------------------
+
+namespace {
+
+// Erase every id from `books` (an id-keyed map) that `records` (sorted
+// by id) does not list: one merge walk over both.
+template <typename Map>
+void keep_watched(Map& books, const std::vector<FreshnessRecord>& records) {
+  auto record = records.begin();
+  for (auto it = books.begin(); it != books.end();) {
+    while (record != records.end() && record->device_id < it->first) ++record;
+    if (record != records.end() && record->device_id == it->first) {
+      ++it;
+    } else {
+      it = books.erase(it);
+    }
+  }
+}
+
+}  // namespace
 
 HealthMonitor::HealthMonitor(Fleet& fleet, HealthOptions options)
     : fleet_(&fleet), options_(options), scheduler_(fleet, options.heartbeat) {}
@@ -278,27 +293,11 @@ HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
   std::vector<QuarantineEntry> to_remediate;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Drop quarantine entries for devices the scheduler no longer
-    // watches (decommissioned): there is nothing left to remediate.
-    std::set<std::string> watched;
-    for (const FreshnessRecord& record : records) {
-      watched.insert(record.device_id);
-    }
-    for (auto it = quarantine_.begin(); it != quarantine_.end();) {
-      if (watched.count(it->first) == 0) {
-        heal_attempts_.erase(it->first);
-        it = quarantine_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = heal_attempts_.begin(); it != heal_attempts_.end();) {
-      if (watched.count(it->first) == 0) {
-        it = heal_attempts_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    // Drop quarantine entries and heal counts for devices the scheduler
+    // no longer watches (decommissioned): there is nothing left to
+    // remediate.
+    keep_watched(quarantine_, records);
+    keep_watched(heal_attempts_, records);
     const uint32_t max_attempts = options_.policy.max_heal_attempts;
     for (const FreshnessRecord& record : records) {
       const QuarantineReason reason = assess(record, now, options_.policy);
@@ -329,6 +328,8 @@ HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
     }
   }
 
+  const size_t reentry_escalations = report.escalated.size();
+
   // Remediate (campaign staged only): one attempt per quarantined
   // device, outcomes indexed by sorted id so the pooled pass is
   // bit-identical to the serial one (each device's outcome depends on
@@ -358,12 +359,15 @@ HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
     report.remediations = std::move(outcomes);
   }
 
-  // Escalations accrete from two places (budget-exhausted re-entry and
-  // the just-failed attempt); keep the report's sorted-by-id contract.
-  std::sort(report.escalated.begin(), report.escalated.end(),
-            [](const QuarantineEntry& a, const QuarantineEntry& b) {
-              return a.device_id < b.device_id;
-            });
+  // Escalations accrete from two id-ordered runs (budget-exhausted
+  // re-entry, then the just-failed attempts); merge them to keep the
+  // report's sorted-by-id contract.
+  std::inplace_merge(report.escalated.begin(),
+                     report.escalated.begin() + reentry_escalations,
+                     report.escalated.end(),
+                     [](const QuarantineEntry& a, const QuarantineEntry& b) {
+                       return a.device_id < b.device_id;
+                     });
   {
     std::lock_guard<std::mutex> lock(mu_);
     report.quarantined_after = quarantine_.size();

@@ -121,7 +121,7 @@ struct FreshnessRecord {
 // One due tick's sweep: every device whose heartbeat fell on `tick`.
 struct HeartbeatBeat {
   Tick tick = 0;
-  // Verdicts for the online due devices, in enrollment-id order (the
+  // Verdicts for the online due devices, in device-id order (the
   // subset-sweep contract).
   std::vector<VerifierService::AttestResult> verdicts;
   std::vector<std::string> missed;  // offline due devices, sorted
@@ -137,11 +137,13 @@ struct HeartbeatReport {
   bool operator==(const HeartbeatReport&) const = default;
 };
 
-// Drives periodic attestation sweeps. Watches every CFA-capable
-// session in the fleet's registry (non-CFA devices emit no
-// announcements and are not judged); devices deployed after
-// construction join on the next run_until, decommissioned devices are
-// pruned (decommission must not race a run, per the fleet contract).
+// Drives periodic attestation sweeps over the fleet's kCfaBaseline
+// devices (Fleet::cfa_devices(); other devices emit no announcements
+// and are not judged). Each run_until merge-walks its records against
+// that id-ordered list: devices deployed since the last run join, with
+// a fresh record, decommissioned devices are pruned, and an id that
+// was decommissioned and deployed again restarts with a fresh record
+// (decommission must not race a run, per the fleet contract).
 class HeartbeatScheduler {
  public:
   explicit HeartbeatScheduler(Fleet& fleet, HeartbeatOptions options = {});
@@ -171,10 +173,17 @@ class HeartbeatScheduler {
   HeartbeatReport run(Tick deadline, common::ThreadPool* pool);
   Tick phase_for(const std::string& device_id) const;
 
+  // One watched device: its record and the registry identity it was
+  // adopted under (a redeployed id carries a new deployment number).
+  struct Watched {
+    FreshnessRecord record;
+    Fleet::CfaDevice device;
+  };
+
   Fleet* fleet_;
   HeartbeatOptions options_;
   mutable std::mutex mu_;  // guards records_
-  std::map<std::string, FreshnessRecord> records_;
+  std::map<std::string, Watched> records_;
 };
 
 // When (and why) a device must be pulled from service.
@@ -197,8 +206,6 @@ struct HealthPolicy {
   // A device whose last clean verdict (or enrollment, if it never had
   // one) is more than this many ticks old is quarantined as stale.
   Tick staleness_threshold = 300;
-  // Quarantine on a convicting verdict (not just on silence).
-  bool quarantine_convicted = true;
   // Lifetime cap on automated remediation attempts per device; once a
   // device has burned this many failed attempts it escalates to the
   // terminal kEscalated state instead of being remediated again. The
@@ -211,9 +218,9 @@ struct HealthPolicy {
 // THE quarantine decision: a pure function of one freshness record, the
 // current tick and the policy. No other state may influence it -- the
 // property suite re-invokes it on copied records and on randomly
-// generated ones and demands identical answers. Conviction outranks
-// staleness; a frozen clock (now == enrolled_tick, nothing ever swept)
-// quarantines nothing.
+// generated ones and demands identical answers. Conviction always
+// outranks staleness; a frozen clock (now == enrolled_tick, nothing
+// ever swept) quarantines nothing.
 QuarantineReason assess(const FreshnessRecord& record, Tick now,
                         const HealthPolicy& policy);
 

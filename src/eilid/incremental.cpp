@@ -68,34 +68,31 @@ IncrementalVerifier::WindowReport IncrementalVerifier::run(
     Round round;
     round.tick = next_round_;
 
-    // Re-snapshot the watched set each round (CFA-capable sessions in
-    // device-id order) so deployments mid-window join the rotation.
-    std::vector<DeviceSession*> watched;
-    for (DeviceSession* session : fleet_->sessions()) {
-      if (session->cfa_monitor() != nullptr) watched.push_back(session);
-    }
-    std::sort(watched.begin(), watched.end(),
-              [](const DeviceSession* a, const DeviceSession* b) {
-                return a->id() < b->id();
-              });
+    // Re-read the registry's id-ordered CFA devices each round so
+    // deployments mid-window join the rotation.
+    const std::vector<Fleet::CfaDevice> devices = fleet_->cfa_devices();
 
-    if (!watched.empty()) {
+    if (!devices.empty()) {
       // Resume the cyclic id-order walk strictly after the cursor. The
       // cursor advances past *examined* devices, not just sliced ones,
       // so a run of offline devices cannot stall the rotation.
-      size_t start = 0;
-      while (start < watched.size() && watched[start]->id() <= cursor_) {
-        ++start;
-      }
+      const size_t start =
+          std::upper_bound(devices.begin(), devices.end(), cursor_,
+                           [](const std::string& cursor,
+                              const Fleet::CfaDevice& device) {
+                             return cursor < device.session->id();
+                           }) -
+          devices.begin();
       const size_t budget = options_.max_devices_per_tick == 0
-                                ? watched.size()
+                                ? devices.size()
                                 : options_.max_devices_per_tick;
-      std::vector<DeviceSession*> picked;
+      std::vector<const Fleet::CfaDevice*> picked;
       for (size_t examined = 0;
-           examined < watched.size() && picked.size() < budget; ++examined) {
-        DeviceSession* session = watched[(start + examined) % watched.size()];
-        cursor_ = session->id();
-        if (session->online()) picked.push_back(session);
+           examined < devices.size() && picked.size() < budget; ++examined) {
+        const Fleet::CfaDevice& device =
+            devices[(start + examined) % devices.size()];
+        cursor_ = device.session->id();
+        if (device.session->online()) picked.push_back(&device);
       }
 
       // Slices land by rotation index: pooled workers interleave but
@@ -104,12 +101,19 @@ IncrementalVerifier::WindowReport IncrementalVerifier::run(
       // attest takes the device's own lock).
       round.slices.resize(picked.size());
       common::for_each_index(pool, picked.size(), [&](size_t i) {
-        round.slices[i] = fleet_->verifier().attest(*picked[i], max_edges);
+        round.slices[i] =
+            fleet_->verifier().attest(*picked[i]->session, max_edges);
       });
 
       std::lock_guard<std::mutex> lock(mu_);
-      for (const VerifierService::AttestResult& slice : round.slices) {
-        fold(summaries_[slice.device_id], slice);
+      for (size_t i = 0; i < picked.size(); ++i) {
+        Folded& folded = summaries_[picked[i]->session->id()];
+        if (folded.deployed != picked[i]->deployed) {
+          // First slice of this device, or of a redeployed id: the
+          // previous device's history is not this one's.
+          folded = Folded{AttestSummary{}, picked[i]->deployed};
+        }
+        fold(folded.summary, round.slices[i]);
       }
     }
 
@@ -126,10 +130,7 @@ std::vector<AttestSummary> IncrementalVerifier::summaries() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<AttestSummary> out;
   out.reserve(summaries_.size());
-  for (const auto& [id, summary] : summaries_) {
-    (void)id;
-    out.push_back(summary);
-  }
+  for (const auto& [id, folded] : summaries_) out.push_back(folded.summary);
   return out;
 }
 
@@ -137,7 +138,7 @@ AttestSummary IncrementalVerifier::summary(
     const std::string& device_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = summaries_.find(device_id);
-  return it == summaries_.end() ? AttestSummary{} : it->second;
+  return it == summaries_.end() ? AttestSummary{} : it->second.summary;
 }
 
 }  // namespace eilid

@@ -111,10 +111,12 @@ class IncrementalVerifier {
     bool operator==(const WindowReport&) const = default;
   };
 
-  // Watches every CFA-capable session in the fleet's registry, like
-  // HeartbeatScheduler: devices deployed later join on the next round,
-  // decommissioned devices drop out (decommission must not race a run,
-  // per the fleet contract). Throws eilid::FleetError on period == 0.
+  // Rotates over the fleet's kCfaBaseline devices
+  // (Fleet::cfa_devices(), re-read every round): devices deployed later
+  // join on the next round, decommissioned devices drop out of the
+  // rotation, and an id decommissioned and deployed again folds into a
+  // fresh summary (decommission must not race a run, per the fleet
+  // contract). Throws eilid::FleetError on period == 0.
   explicit IncrementalVerifier(Fleet& fleet, IncrementalOptions options = {});
 
   // Advance fleet time to `deadline`, firing a round every `period`
@@ -146,8 +148,14 @@ class IncrementalVerifier {
 
   Fleet* fleet_;
   IncrementalOptions options_;
+  // A device's summary and the deployment it folds (Fleet::CfaDevice).
+  struct Folded {
+    AttestSummary summary;
+    uint64_t deployed = 0;
+  };
+
   mutable std::mutex mu_;  // guards summaries_ against concurrent readers
-  std::map<std::string, AttestSummary> summaries_;
+  std::map<std::string, Folded> summaries_;
   // Rotation state: the id the last round stopped at (next round
   // resumes strictly after it, wrapping), and the next due tick.
   std::string cursor_;

@@ -64,7 +64,8 @@ struct BuildResult {
   std::shared_ptr<const isa::DecodedImage> decoded_image;
   // The app's static CFG (== cfa::extract_cfg(app)), which the CFA
   // verifier replays attestation evidence against. Null only on a
-  // hand-assembled BuildResult, which cannot enroll for attestation.
+  // hand-assembled BuildResult, which cannot be deployed as a
+  // kCfaBaseline device.
   std::shared_ptr<const cfa::Cfg> cfg;
 
   size_t binary_size() const { return app.image.size_bytes(); }

@@ -29,17 +29,16 @@ CampaignScheduler::CampaignScheduler(Fleet& fleet, UpdateCampaign campaign,
 }
 
 CampaignScheduler::Resolved CampaignScheduler::resolve() const {
-  // One registry snapshot (deployment order) anchors the whole
-  // resolution, so membership is a pure function of the plan and that
-  // snapshot -- serial and pooled runs can never disagree on it.
+  // Membership is resolved once, up front, so it is a pure function of
+  // the plan and the registry -- serial and pooled runs can never
+  // disagree on it. Explicit ids are looked up in the registry;
+  // fractional waves cut one deployment-order snapshot.
   const std::vector<DeviceSession*> snapshot = fleet_->sessions();
-  std::map<std::string, DeviceSession*> by_id;
-  for (DeviceSession* session : snapshot) by_id.emplace(session->id(), session);
 
   std::set<std::string> held;
   for (const HoldSpec& hold : plan_.holds) {
     for (const std::string& id : hold.device_ids) {
-      if (by_id.count(id) == 0) {
+      if (fleet_->find(id) == nullptr) {
         throw FleetError("rollout plan: hold '" + hold.name +
                          "' names unknown device id '" + id + "'");
       }
@@ -71,8 +70,8 @@ CampaignScheduler::Resolved CampaignScheduler::resolve() const {
     std::vector<DeviceSession*> members;
     if (explicit_ids) {
       for (const std::string& id : spec.device_ids) {
-        auto it = by_id.find(id);
-        if (it == by_id.end()) {
+        DeviceSession* session = fleet_->find(id);
+        if (session == nullptr) {
           throw FleetError("rollout plan: wave '" + label +
                            "' names unknown device id '" + id + "'");
         }
@@ -81,7 +80,7 @@ CampaignScheduler::Resolved CampaignScheduler::resolve() const {
           throw FleetError("rollout plan: device id '" + id +
                            "' is claimed by two waves");
         }
-        members.push_back(it->second);
+        members.push_back(session);
       }
     } else {
       // The eligible remainder, in deployment order.

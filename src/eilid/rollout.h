@@ -148,7 +148,7 @@ struct WaveOutcome {
   // probe and the soak window). Empty when soak_ticks == 0.
   std::vector<VerifierService::AttestResult> soak_gate;
   // The promoting attestation gate over exactly this wave, in
-  // enrollment-id order (the subset-sweep contract). With a soak
+  // device-id order (the subset-sweep contract). With a soak
   // window this is the *re*-sweep after soaked firmware has run.
   std::vector<VerifierService::AttestResult> gate;
   // Fleet-clock stamps (0 on waves a halt left untouched).

@@ -3,6 +3,8 @@
 // between sessions that share one cached build.
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 #include "apps/apps.h"
 #include "attacks/attack.h"
 #include "cfa/cfg.h"
@@ -131,10 +133,10 @@ TEST(FleetRegistry, UnknownIdAndDecommission) {
   EXPECT_EQ(fleet.find("ghost"), nullptr);
   EXPECT_THROW(fleet.at("ghost"), FleetError);
   fleet.provision("gone", kTinyApp, "tiny", EnforcementPolicy::kCfaBaseline);
-  EXPECT_TRUE(fleet.verifier().enrolled("gone"));
+  EXPECT_EQ(fleet.cfa_devices().size(), 1u);
   fleet.decommission("gone");
   EXPECT_EQ(fleet.size(), 0u);
-  EXPECT_FALSE(fleet.verifier().enrolled("gone"));
+  EXPECT_TRUE(fleet.cfa_devices().empty());
 }
 
 TEST(FleetRegistry, EilidPolicyRejectsPlainBuild) {
@@ -147,44 +149,164 @@ TEST(FleetRegistry, EilidPolicyRejectsPlainBuild) {
                ConfigError);
 }
 
-// Regression: deploy is exception-safe. When enrollment rejects the
-// device after the session was registered, the registration is rolled
-// back, and at no point does the verifier keep a DeviceSession* the
-// fleet does not own (the old enroll-before-register order leaked a
-// dangling pointer into the verifier if a later step threw).
+// Regression: deploy is exception-safe. A deploy that fails -- here on
+// a kCfaBaseline build with no CFG for the verifier, and on a duplicate
+// id -- leaves no registry entry, no verifier books and no count, and
+// the device already deployed under that id is untouched.
 TEST(FleetRegistry, FailedDeployLeavesNoTrace) {
   Fleet fleet;
   auto build = fleet.build(kTinyApp, "tiny", {.eilid = false});
+  core::BuildResult hand;
+  hand.app = build->app;
+  hand.flat_image = build->flat_image;
+  hand.decoded_image = build->decoded_image;
+  auto no_cfg = std::make_shared<const core::BuildResult>(std::move(hand));
 
-  // Occupy the verifier slot behind the fleet's back with a standalone
-  // session, so the fleet's own enroll attempt is rejected.
-  SessionOptions standalone_options;
-  standalone_options.attest_key = fleet.device_key("clash");
-  DeviceSession standalone("clash", build, EnforcementPolicy::kCfaBaseline,
-                           standalone_options);
-  fleet.verifier().enroll(standalone);
-
-  EXPECT_THROW(
-      fleet.deploy("clash", build, EnforcementPolicy::kCfaBaseline),
-      FleetError);
-
-  // The failed deploy is invisible: no registry entry, no count, and
-  // the verifier still serves the session it actually knows.
+  EXPECT_THROW(fleet.deploy("clash", no_cfg, EnforcementPolicy::kCfaBaseline),
+               FleetError);
   EXPECT_EQ(fleet.find("clash"), nullptr);
   EXPECT_EQ(fleet.size(), 0u);
   EXPECT_TRUE(fleet.sessions().empty());
-  EXPECT_TRUE(fleet.verifier().enrolled("clash"));
+  EXPECT_TRUE(fleet.cfa_devices().empty());
+  EXPECT_TRUE(fleet.verifier().verify_all().empty());
+
+  // The id is still free: a deploy with a CFG succeeds.
+  DeviceSession& deployed =
+      fleet.deploy("clash", build, EnforcementPolicy::kCfaBaseline);
+  deployed.run_to_symbol("halt", 100000);
+  const size_t logged = deployed.cfa_monitor()->log_size();
+  ASSERT_GT(logged, 0u);
+
+  // A duplicate deploy fails without disturbing the device it collides
+  // with: same session, same books, evidence still on the device.
+  EXPECT_THROW(fleet.deploy("clash", build, EnforcementPolicy::kCfaBaseline),
+               FleetError);
+  EXPECT_EQ(fleet.find("clash"), &deployed);
+  EXPECT_EQ(fleet.size(), 1u);
+  EXPECT_EQ(deployed.cfa_monitor()->log_size(), logged);
   auto sweep = fleet.verifier().verify_all();
   ASSERT_EQ(sweep.size(), 1u);
-  EXPECT_TRUE(sweep[0].attested);
-  EXPECT_TRUE(sweep[0].mac_ok);
+  EXPECT_TRUE(sweep[0].ok());
+  EXPECT_EQ(sweep[0].seq, 0u);
+  EXPECT_EQ(sweep[0].edges, logged);
+}
 
-  // The id becomes deployable once the standalone claim is withdrawn.
-  fleet.verifier().withdraw("clash");
-  DeviceSession& redeployed =
-      fleet.deploy("clash", build, EnforcementPolicy::kCfaBaseline);
-  EXPECT_EQ(fleet.find("clash"), &redeployed);
-  EXPECT_EQ(fleet.size(), 1u);
+// The registry is one id-ordered table, yet sessions() still reports
+// deployment order, including after a decommission and a later deploy.
+TEST(FleetRegistry, SessionsKeepDeploymentOrder) {
+  Fleet fleet;
+  auto build = fleet.build(kTinyApp, "tiny", {.eilid = false});
+  auto ids = [&] {
+    std::vector<std::string> out;
+    for (DeviceSession* session : fleet.sessions()) {
+      out.push_back(session->id());
+    }
+    return out;
+  };
+  for (const char* id : {"z", "a", "m"}) {
+    fleet.deploy(id, build, EnforcementPolicy::kCfaBaseline);
+  }
+  EXPECT_EQ(ids(), (std::vector<std::string>{"z", "a", "m"}));
+  // The schedulers' view of the same devices is in id order.
+  std::vector<std::string> by_id;
+  for (const Fleet::CfaDevice& device : fleet.cfa_devices()) {
+    by_id.push_back(device.session->id());
+  }
+  EXPECT_EQ(by_id, (std::vector<std::string>{"a", "m", "z"}));
+
+  fleet.decommission("a");
+  EXPECT_EQ(ids(), (std::vector<std::string>{"z", "m"}));
+  fleet.deploy("b", build, EnforcementPolicy::kCasu);
+  fleet.deploy("a", build, EnforcementPolicy::kCfaBaseline);
+  EXPECT_EQ(ids(), (std::vector<std::string>{"z", "m", "b", "a"}));
+  EXPECT_EQ(fleet.size(), 4u);
+  EXPECT_EQ(fleet.cfa_devices().size(), 3u);  // "b" is kCasu
+}
+
+// A decommissioned id that is deployed again is a new device: its
+// first verdict starts a fresh sequence window and replays only its own
+// evidence -- none of the old device's books or log survive.
+TEST(FleetRegistry, RedeployStartsFreshBooks) {
+  const auto& app = apps::vuln_gateway();
+  SessionOptions big_log{.halt_on_reset = true,
+                         .cfa = {.log_capacity = 8192}};
+  auto boot = [&](Fleet& fleet) -> DeviceSession& {
+    DeviceSession& dev = fleet.provision("dev", app.source, app.name,
+                                         EnforcementPolicy::kCfaBaseline,
+                                         big_log);
+    dev.machine().uart().feed(attacks::benign_payload());
+    dev.run_to_symbol("halt", app.cycle_budget);
+    return dev;
+  };
+
+  Fleet fleet;
+  DeviceSession& first = fleet.provision("dev", app.source, app.name,
+                                         EnforcementPolicy::kCfaBaseline,
+                                         big_log);
+  // The first device is hijacked and attested twice: its books advance
+  // to expected_seq 2 and its replay state is mid-stream.
+  first.machine().uart().feed(
+      attacks::overflow_ret_payload(first.symbol("unlock")));
+  first.run_to_symbol("halt", app.cycle_budget);
+  EXPECT_FALSE(fleet.verifier().attest(first).path_ok);
+  EXPECT_EQ(fleet.verifier().attest(first).seq, 1u);
+  const auto first_deployed = fleet.cfa_devices().at(0).deployed;
+  fleet.decommission("dev");
+  EXPECT_TRUE(fleet.cfa_devices().empty());
+
+  DeviceSession& again = boot(fleet);
+  EXPECT_NE(fleet.cfa_devices().at(0).deployed, first_deployed);
+  VerifierService::AttestResult verdict = fleet.verifier().attest(again);
+
+  // Oracle: the same device deployed once into a fresh fleet.
+  Fleet control;
+  VerifierService::AttestResult want =
+      control.verifier().attest(boot(control));
+  EXPECT_TRUE(verdict.ok());
+  EXPECT_TRUE(verdict.seq_ok);
+  EXPECT_EQ(verdict.seq, 0u);
+  EXPECT_GT(verdict.edges, 0u);
+  EXPECT_EQ(verdict, want);
+}
+
+// Only the fleet's own registry entry for an id is attested. A
+// standalone session, and one aliasing a deployed id, is refused by
+// attest, verify_all and stage_cfg_swap before its log is drained, and
+// a refused subset sweep drains none of its members.
+TEST(FleetRegistry, ForeignSessionsAreRefused) {
+  Fleet fleet;
+  auto build = fleet.build(kTinyApp, "tiny", {.eilid = false});
+  DeviceSession& deployed =
+      fleet.deploy("alias", build, EnforcementPolicy::kCfaBaseline);
+  deployed.run_to_symbol("halt", 100000);
+
+  SessionOptions options;
+  options.attest_key = fleet.device_key("alias");
+  DeviceSession standalone("standalone", build,
+                           EnforcementPolicy::kCfaBaseline, options);
+  DeviceSession alias("alias", build, EnforcementPolicy::kCfaBaseline,
+                      options);
+  for (DeviceSession* foreign : {&standalone, &alias}) {
+    foreign->run_to_symbol("halt", 100000);
+    const size_t logged = foreign->cfa_monitor()->log_size();
+    ASSERT_GT(logged, 0u);
+    EXPECT_THROW(fleet.verifier().attest(*foreign), FleetError);
+    EXPECT_THROW(fleet.verifier().attest(*foreign, 1), FleetError);
+    EXPECT_THROW(fleet.verifier().verify_all({foreign}), FleetError);
+    EXPECT_THROW(fleet.verifier().verify_all({&deployed, foreign}),
+                 FleetError);
+    {
+      std::lock_guard<std::mutex> lock(foreign->mutex());
+      EXPECT_THROW(fleet.verifier().stage_cfg_swap(*foreign), FleetError);
+    }
+    EXPECT_EQ(foreign->cfa_monitor()->log_size(), logged);
+  }
+
+  // The deployed device's evidence and books were never touched.
+  auto verdict = fleet.verifier().attest(deployed);
+  EXPECT_TRUE(verdict.ok());
+  EXPECT_EQ(verdict.seq, 0u);
+  EXPECT_EQ(deployed.cfa_monitor()->log_size(), 0u);
 }
 
 TEST(FleetRegistry, UnknownSymbolThrowsTyped) {
@@ -248,7 +370,7 @@ TEST(FleetPolicies, HijackOutcomePerPolicy) {
 
 // A session with no CFA monitor has no evidence to collect: attest()
 // reports attested = false (never ok()) rather than aborting a mixed
-// sweep, while explicit enroll() of such a session is still an error.
+// sweep, and the device is not swept by verify_all().
 TEST(FleetPolicies, AttestingNonCfaSessionReportsUnattested) {
   Fleet fleet;
   DeviceSession& dev =
@@ -261,11 +383,9 @@ TEST(FleetPolicies, AttestingNonCfaSessionReportsUnattested) {
   EXPECT_FALSE(verdict.seq_ok);
   EXPECT_FALSE(verdict.path_ok);
   EXPECT_FALSE(verdict.ok());
-  // The non-CFA device was not silently enrolled into sweeps.
-  EXPECT_FALSE(fleet.verifier().enrolled("plain"));
+  // The non-CFA device is not one the sweeps judge.
+  EXPECT_TRUE(fleet.cfa_devices().empty());
   EXPECT_TRUE(fleet.verifier().verify_all().empty());
-
-  EXPECT_THROW(fleet.verifier().enroll(dev), FleetError);
 }
 
 // --------------------------------------------------------- build CFG
@@ -311,8 +431,9 @@ TEST(BuildResultCfg, EveryBuildPathCarriesTheAppCfg) {
   }
 }
 
-// A hand-assembled build (decoded table but no CFG) cannot enroll for
-// attestation: there is nothing to replay evidence against.
+// A hand-assembled build (decoded table but no CFG) cannot be deployed
+// for attestation: there is nothing to replay evidence against. A
+// standalone session on it is no fleet device either.
 TEST(BuildResultCfg, EnrollingBuildWithoutCfgThrowsTyped) {
   core::BuildOptions plain;
   plain.eilid = false;
@@ -330,8 +451,8 @@ TEST(BuildResultCfg, EnrollingBuildWithoutCfgThrowsTyped) {
   EXPECT_EQ(fleet.find("no-cfg"), nullptr);
 
   DeviceSession standalone("no-cfg", build, EnforcementPolicy::kCfaBaseline);
-  EXPECT_THROW(fleet.verifier().enroll(standalone), FleetError);
-  EXPECT_FALSE(fleet.verifier().enrolled("no-cfg"));
+  EXPECT_THROW(fleet.verifier().attest(standalone), FleetError);
+  EXPECT_TRUE(fleet.cfa_devices().empty());
 }
 
 // ----------------------------------------------------- verifier service

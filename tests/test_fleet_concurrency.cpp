@@ -1,10 +1,13 @@
 // The parallel fleet engine under contention (run these under
 // ThreadSanitizer -- the CI tsan job does): single-flight build cache,
-// sharded registry, concurrent attestation with per-device locking,
-// and the determinism contract of the pooled verify_all() sweep.
+// the one-mutex device registry, concurrent attestation with
+// per-device locking, and the determinism contract of the pooled
+// verify_all() sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "eilid/fleet.h"
 #include "eilid/health.h"
+#include "eilid/incremental.h"
 
 namespace eilid {
 namespace {
@@ -126,7 +130,7 @@ TEST(FleetConcurrency, ConcurrentDuplicateDeployOneWinner) {
   });
   EXPECT_EQ(rejected.load(), 7u);
   EXPECT_EQ(fleet.size(), 1u);
-  EXPECT_TRUE(fleet.verifier().enrolled("contested"));
+  EXPECT_EQ(fleet.cfa_devices().size(), 1u);
 }
 
 // --------------------------------------------------------- attestation
@@ -544,6 +548,91 @@ TEST(FleetConcurrency, HeartbeatSweepsRaceRollout) {
   for (const auto& verdict : fleet.verifier().verify_all()) {
     EXPECT_TRUE(verdict.ok()) << verdict.device_id;
   }
+}
+
+// Pooled deploys race heartbeat and windowed rounds on one fleet. Both
+// schedulers read the registry's id-ordered CFA devices at the start of
+// each run_until, so every kCfaBaseline device whose deploy returned
+// before a round starts is watched by that round: it has a heartbeat
+// record, and the unbounded window slices it.
+TEST(FleetConcurrency, DeploysRaceHeartbeatAndWindowRounds) {
+  Fleet fleet;
+  auto build = fleet.build(kTinyApp, "tiny", {.eilid = false});
+  std::vector<std::string> cfa_ids;
+  for (size_t i = 0; i < 4; ++i) {
+    cfa_ids.push_back("seed-" + std::to_string(i));
+    fleet.deploy(cfa_ids.back(), build, EnforcementPolicy::kCfaBaseline);
+  }
+  HeartbeatScheduler heartbeat(fleet, {.period = 1});
+  IncrementalVerifier windowed(
+      fleet, {.period = 1, .max_devices_per_tick = 0,
+              .max_bytes_per_slice = 0});
+
+  constexpr size_t kDeploys = 48;
+  std::mutex joined_mu;
+  std::vector<std::string> joined = cfa_ids;  // deploys that returned
+  std::atomic<bool> done{false};
+  std::thread deployer([&] {
+    common::ThreadPool deploy_pool(4);
+    deploy_pool.parallel_for(kDeploys, [&](size_t i) {
+      const std::string id = "new-" + std::to_string(i);
+      // Every fourth device is kCasu: registered, but never watched.
+      const bool cfa = i % 4 != 0;
+      fleet.deploy(id, build,
+                   cfa ? EnforcementPolicy::kCfaBaseline
+                       : EnforcementPolicy::kCasu);
+      if (cfa) {
+        std::lock_guard<std::mutex> lock(joined_mu);
+        joined.push_back(id);
+      }
+    });
+    done.store(true);
+  });
+
+  common::ThreadPool pool(2);
+  auto round = [&] {
+    std::vector<std::string> expected;
+    {
+      std::lock_guard<std::mutex> lock(joined_mu);
+      expected = joined;
+    }
+    std::sort(expected.begin(), expected.end());
+    const Tick deadline = fleet.clock().now() + 1;
+    const IncrementalVerifier::WindowReport window =
+        windowed.run_until(deadline, pool);
+    const HeartbeatReport beats = heartbeat.run_until(deadline, pool);
+
+    ASSERT_EQ(window.rounds.size(), 1u);
+    std::vector<std::string> sliced;
+    for (const auto& slice : window.rounds[0].slices) {
+      EXPECT_TRUE(slice.ok()) << slice.device_id;
+      sliced.push_back(slice.device_id);
+    }
+    std::sort(sliced.begin(), sliced.end());  // rotation order -> id order
+    std::vector<std::string> watched;
+    for (const FreshnessRecord& record : heartbeat.records()) {
+      watched.push_back(record.device_id);
+    }
+    for (const auto& beat : beats.beats) {
+      for (const auto& verdict : beat.verdicts) {
+        EXPECT_TRUE(verdict.ok()) << verdict.device_id;
+      }
+    }
+    // Each id-ordered list must contain every expected id.
+    EXPECT_TRUE(std::includes(sliced.begin(), sliced.end(),
+                              expected.begin(), expected.end()));
+    EXPECT_TRUE(std::includes(watched.begin(), watched.end(),
+                              expected.begin(), expected.end()));
+  };
+  while (!done.load()) round();
+  deployer.join();
+  round();
+
+  const size_t cfa_total = 4 + kDeploys - kDeploys / 4;
+  EXPECT_EQ(fleet.size(), 4 + kDeploys);
+  EXPECT_EQ(fleet.cfa_devices().size(), cfa_total);
+  EXPECT_EQ(heartbeat.records().size(), cfa_total);
+  EXPECT_EQ(windowed.summaries().size(), cfa_total);
 }
 
 }  // namespace

@@ -258,19 +258,18 @@ TEST(QuarantineTest, AssessIsAPureFunctionOfTheRecord) {
 
     HealthPolicy policy;
     policy.staleness_threshold = rng.below(600) + 1;
-    policy.quarantine_convicted = rng.chance(3, 4);
     const Tick now = record.enrolled_tick + rng.below(2000);
 
     const QuarantineReason verdict = assess(record, now, policy);
 
-    // Oracle, straight from the contract: conviction (when policed)
-    // outranks staleness; staleness ages from the last clean verdict,
-    // or enrollment if there never was one.
+    // Oracle, straight from the contract: conviction outranks
+    // staleness; staleness ages from the last clean verdict, or
+    // enrollment if there never was one.
     QuarantineReason expected = QuarantineReason::kNone;
     const Tick anchor =
         record.ever_ok ? record.last_ok_tick : record.enrolled_tick;
     const Tick age = now >= anchor ? now - anchor : 0;
-    if (policy.quarantine_convicted && record.convicted) {
+    if (record.convicted) {
       expected = QuarantineReason::kConvicted;
     } else if (age > policy.staleness_threshold) {
       expected = QuarantineReason::kStale;

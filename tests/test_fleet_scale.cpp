@@ -589,6 +589,56 @@ TEST(IncrementalVerifierTest, RotationCoversEveryDeviceAndSkipsOffline) {
   EXPECT_GT(fleet.at(device_id(2)).cfa_monitor()->log_size(), 0u);
 }
 
+// A decommissioned id deployed again is a new device to the running
+// schedulers: the heartbeat scheduler and the windowed verifier each
+// re-adopt it with a fresh record, so the old device's conviction and
+// counts do not follow the id.
+TEST(IncrementalVerifierTest, RedeployedIdRestartsHeartbeatAndWindowRecords) {
+  Fleet fleet;
+  provision_fleet(fleet, 3);
+  HeartbeatScheduler heartbeat(fleet, {.period = 10});
+  IncrementalVerifier windowed(
+      fleet, {.period = 10, .max_devices_per_tick = 0,
+              .max_bytes_per_slice = 0});
+
+  // The first dev-01 convicts in both schedulers' books.
+  diverge_out_of_band(fleet, device_id(1));
+  heartbeat.run_until(50);
+  diverge_out_of_band(fleet, device_id(1));
+  windowed.run_until(100);
+  ASSERT_TRUE(heartbeat.record(device_id(1)).convicted);
+  ASSERT_EQ(heartbeat.record(device_id(1)).heartbeats, 5u);
+  ASSERT_TRUE(windowed.summary(device_id(1)).convicted());
+
+  fleet.decommission(device_id(1));
+  DeviceSession& again =
+      fleet.provision(device_id(1), firmware(0), "fw",
+                      EnforcementPolicy::kCfaBaseline,
+                      {.cfa = {.log_capacity = 65536}});
+  again.run_to_symbol("halt", 100000);
+  const size_t boot_edges = again.cfa_monitor()->log_size();
+  ASSERT_GT(boot_edges, 0u);
+
+  // Rounds at 110..150 drain the new device's boot evidence clean.
+  windowed.run_until(150);
+  const AttestSummary fresh = windowed.summary(device_id(1));
+  EXPECT_FALSE(fresh.convicted());
+  EXPECT_EQ(fresh.edges, boot_edges);
+  EXPECT_EQ(fresh.device_id, device_id(1));
+
+  // Re-adopted at tick 150: beats at 160..200 only.
+  heartbeat.run_until(200);
+  const FreshnessRecord record = heartbeat.record(device_id(1));
+  EXPECT_FALSE(record.convicted);
+  EXPECT_EQ(record.enrolled_tick, 150u);
+  EXPECT_EQ(record.heartbeats, 5u);
+  EXPECT_EQ(record.last_ok_tick, 200u);
+  // The devices that stayed keep their history.
+  EXPECT_EQ(heartbeat.record(device_id(0)).heartbeats, 20u);
+  EXPECT_EQ(heartbeat.record(device_id(0)).enrolled_tick, 0u);
+  EXPECT_EQ(heartbeat.records().size(), 3u);
+}
+
 // ------------------------------------------------- heartbeat backoff
 
 TEST(HeartbeatBackoffTest, UnreachableDevicesBackOffExponentially) {
