@@ -129,7 +129,10 @@
 //       campaign takes -- so healing a device can never race a
 //       campaign mid-update on that device. FleetClock is atomic and
 //       monotonic (advance_to never moves time backwards). Like the
-//       campaign scheduler, one run at a time per monitor object.
+//       campaign scheduler, one run at a time per monitor object;
+//       records() and quarantined() may be read concurrently (the
+//       freshness record, quarantine entry and heal count of a device
+//       share one slot under the scheduler's mutex).
 //
 //   Requires external synchronization:
 //     - A DeviceSession itself is single-threaded: do not call run()/
@@ -144,9 +147,12 @@
 //       Quiesce sweeps first. Likewise, lifecycle calls for the *same*
 //       id (deploy vs decommission) must be externally ordered -- a
 //       device cannot be retired while it is still being deployed. A
-//       redeploy of a decommissioned id is a new device: fresh books,
-//       a new deployment sequence number, and the fleet-time
-//       schedulers re-adopt it with fresh records.
+//       redeploy of a decommissioned id is a new device: fresh
+//       verifier books and a new deployment sequence number, and the
+//       fleet-time schedulers (one CfaBooks walk each) re-adopt it with
+//       a fresh heartbeat record, no quarantine entry, a full heal
+//       budget and an empty window summary. A decommissioned id leaves
+//       every scheduler's books at that scheduler's next sync.
 //
 // A single standalone device is one DeviceSession constructed directly
 // on a core::build_app result. It belongs to no fleet, so no fleet's
@@ -369,7 +375,9 @@ class Fleet {
     uint64_t deployed = 0;
   };
   // Snapshot of the kCfaBaseline devices -- the ones that emit
-  // evidence -- in device-id order. Pointers stay valid as above.
+  // evidence -- in device-id order. Pointers stay valid as above. The
+  // fleet-time schedulers keep their per-device state in CfaBooks
+  // synced against this snapshot.
   std::vector<CfaDevice> cfa_devices() const;
 
   // --- update campaigns --------------------------------------------
@@ -445,6 +453,46 @@ class Fleet {
 
   FleetClock clock_;
   VerifierService verifier_{*this};
+};
+
+// The books a fleet-time scheduler keeps per kCfaBaseline device: one T
+// per device in device-id order, each slot tagged with the deployment
+// it belongs to. sync() is the schedulers' one adopt / renew / prune
+// walk, so every scheduler treats a redeployed id as a new device.
+template <typename T>
+struct CfaBooks {
+  struct Slot {
+    Fleet::CfaDevice device;
+    T value;
+  };
+  std::map<std::string, Slot> slots;  // keyed by device id
+
+  // Merge-walk the slots against `devices`, an id-ordered
+  // Fleet::cfa_devices() snapshot: ids it no longer lists are pruned,
+  // and an id that is new -- or carries a new deployment number
+  // (decommissioned and deployed again) -- gets fresh(id).
+  template <typename Fresh>
+  void sync(const std::vector<Fleet::CfaDevice>& devices, Fresh&& fresh) {
+    auto it = slots.begin();
+    for (const Fleet::CfaDevice& device : devices) {
+      // Deployment numbers are never reused, so a matching one is the
+      // same device: the steady state compares no ids.
+      if (it != slots.end() && it->second.device.deployed == device.deployed) {
+        ++it;
+        continue;
+      }
+      const std::string& id = device.session->id();
+      while (it != slots.end() && it->first < id) it = slots.erase(it);
+      if (it == slots.end() || it->first != id) {
+        it = slots.emplace_hint(it, id, Slot{});
+      }
+      if (it->second.device.deployed != device.deployed) {
+        it->second = Slot{device, fresh(id)};
+      }
+      ++it;
+    }
+    slots.erase(it, slots.end());
+  }
 };
 
 }  // namespace eilid

@@ -38,33 +38,20 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
   HeartbeatReport report;
   report.from = clock.now();
 
-  // Adopt and prune by merge-walking the records against the registry's
-  // id-ordered CFA devices (only they emit announcements): devices
-  // deployed since the last run join with enrollment == now,
-  // decommissioned ids drop out (their session pointers are gone), and
-  // an id deployed again since then restarts with a fresh record.
+  // Only CFA devices emit announcements: devices deployed since the
+  // last run (or deployed again) join with enrollment == now, and
+  // decommissioned ids drop out (their session pointers are gone).
   const std::vector<Fleet::CfaDevice> devices = fleet_->cfa_devices();
   {
     std::lock_guard<std::mutex> lock(mu_);
     const Tick now = clock.now();
-    auto it = records_.begin();
-    for (const Fleet::CfaDevice& device : devices) {
-      const std::string& id = device.session->id();
-      while (it != records_.end() && it->first < id) it = records_.erase(it);
-      if (it == records_.end() || it->first != id) {
-        it = records_.emplace_hint(it, id, Watched{});
-      }
-      Watched& watched = it->second;
-      if (watched.device.deployed != device.deployed) {
-        watched.device = device;
-        watched.record = FreshnessRecord{};
-        watched.record.device_id = id;
-        watched.record.enrolled_tick = now;
-        watched.record.next_due = now + options_.period + phase_for(id);
-      }
-      ++it;
-    }
-    records_.erase(it, records_.end());
+    books_.sync(devices, [&](const std::string& id) {
+      Watched watched;
+      watched.record.device_id = id;
+      watched.record.enrolled_tick = now;
+      watched.record.next_due = now + options_.period + phase_for(id);
+      return watched;
+    });
   }
 
   // Fire beats in (tick, device-id) order: repeatedly find the earliest
@@ -77,15 +64,15 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
     {
       std::lock_guard<std::mutex> lock(mu_);
       bool found = false;
-      for (const auto& [id, watched] : records_) {
-        const Tick next_due = watched.record.next_due;
+      for (const auto& [id, slot] : books_.slots) {
+        const Tick next_due = slot.value.record.next_due;
         if (next_due > deadline) continue;
         if (!found || next_due < due) {
           found = true;
           due = next_due;
           due_devices.clear();
         }
-        if (next_due == due) due_devices.push_back(watched.device.session);
+        if (next_due == due) due_devices.push_back(slot.device.session);
       }
       if (!found) break;
     }
@@ -111,7 +98,7 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const std::string& id : beat.missed) {
-        FreshnessRecord& record = records_.at(id).record;
+        FreshnessRecord& record = books_.slots.at(id).value.record;
         ++record.misses;
         ++record.consecutive_misses;
         // Exponential backoff (see HeartbeatOptions): the k-th
@@ -124,7 +111,8 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
         record.next_due += options_.period << exponent;
       }
       for (const VerifierService::AttestResult& verdict : beat.verdicts) {
-        FreshnessRecord& record = records_.at(verdict.device_id).record;
+        FreshnessRecord& record =
+            books_.slots.at(verdict.device_id).value.record;
         ++record.heartbeats;
         record.consecutive_misses = 0;  // evidence arrived: cadence snaps back
         record.last_attested_tick = due;
@@ -152,23 +140,18 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
 std::vector<FreshnessRecord> HeartbeatScheduler::records() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<FreshnessRecord> out;
-  out.reserve(records_.size());
-  for (const auto& [id, watched] : records_) out.push_back(watched.record);
+  out.reserve(books_.slots.size());
+  for (const auto& [id, slot] : books_.slots) out.push_back(slot.value.record);
   return out;
 }
 
 FreshnessRecord HeartbeatScheduler::record(const std::string& device_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(device_id);
-  return it == records_.end() ? FreshnessRecord{} : it->second.record;
+  auto it = books_.slots.find(device_id);
+  return it == books_.slots.end() ? FreshnessRecord{} : it->second.value.record;
 }
 
-void HeartbeatScheduler::note_remediated(const std::string& device_id,
-                                         Tick tick) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(device_id);
-  if (it == records_.end()) return;
-  FreshnessRecord& record = it->second.record;
+void HeartbeatScheduler::note_remediated(FreshnessRecord& record, Tick tick) {
   record.consecutive_misses = 0;
   record.last_attested_tick = tick;
   record.last_ok_tick = tick;
@@ -205,38 +188,19 @@ QuarantineReason assess(const FreshnessRecord& record, Tick now,
 
 // --- HealthMonitor --------------------------------------------------
 
-namespace {
-
-// Erase every id from `books` (an id-keyed map) that `records` (sorted
-// by id) does not list: one merge walk over both.
-template <typename Map>
-void keep_watched(Map& books, const std::vector<FreshnessRecord>& records) {
-  auto record = records.begin();
-  for (auto it = books.begin(); it != books.end();) {
-    while (record != records.end() && record->device_id < it->first) ++record;
-    if (record != records.end() && record->device_id == it->first) {
-      ++it;
-    } else {
-      it = books.erase(it);
-    }
-  }
-}
-
-}  // namespace
-
 HealthMonitor::HealthMonitor(Fleet& fleet, HealthOptions options)
     : fleet_(&fleet), options_(options), scheduler_(fleet, options.heartbeat) {}
 
 void HealthMonitor::stage_remediation(UpdateCampaign campaign) {
-  std::lock_guard<std::mutex> lock(mu_);
   remediation_.emplace(std::move(campaign));
 }
 
 std::vector<QuarantineEntry> HealthMonitor::quarantined() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(scheduler_.mu_);
   std::vector<QuarantineEntry> out;
-  out.reserve(quarantine_.size());
-  for (const auto& [id, entry] : quarantine_) out.push_back(entry);
+  for (const auto& [id, slot] : scheduler_.books_.slots) {
+    if (slot.value.quarantine) out.push_back(*slot.value.quarantine);
+  }
   return out;
 }
 
@@ -249,16 +213,16 @@ HealthReport HealthMonitor::run_until(Tick deadline,
   return run(deadline, &pool);
 }
 
-RemediationOutcome HealthMonitor::remediate_one(const QuarantineEntry& entry,
+RemediationOutcome HealthMonitor::remediate_one(DeviceSession& session,
+                                                const QuarantineEntry& entry,
                                                 Tick now) {
   RemediationOutcome out;
   out.device_id = entry.device_id;
   out.reason = entry.reason;
   out.tick = now;
-  DeviceSession* session = fleet_->find(entry.device_id);
-  if (session == nullptr || !session->online()) {
-    // Unreachable: a decommissioned or offline device cannot be reset
-    // or re-updated. It stays quarantined for the next pass.
+  if (!session.online()) {
+    // Unreachable: an offline device cannot be reset or re-updated. It
+    // stays quarantined for the next pass.
     return out;
   }
   out.reachable = true;
@@ -266,18 +230,18 @@ RemediationOutcome HealthMonitor::remediate_one(const QuarantineEntry& entry,
   // lock (a concurrent sweep of this device must not observe a
   // half-reflashed machine), so even a diverged device is updatable.
   {
-    std::lock_guard<std::mutex> lock(session->mutex());
-    session->reflash();
+    std::lock_guard<std::mutex> lock(session.mutex());
+    session.reflash();
   }
   // Re-update half: the ordinary campaign lifecycle (fresh epoch
   // marker, replay-CFG swap, per-device lock inside). kAlreadyCurrent
   // is a success -- a stale-but-current device just needed the reset.
-  out.update = remediation_->apply_to(*session);
+  out.update = remediation_->apply_to(session);
   // Prove the heal: an immediate attestation. The reset marker logged
   // by reflash() clears the verifier's replay stacks, so pre-reset
   // evidence (including what convicted the device) cannot taint this
   // verdict.
-  out.verdict = fleet_->verifier().attest(*session);
+  out.verdict = fleet_->verifier().attest(session);
   out.healed = out.update.ok() && out.verdict.ok();
   return out;
 }
@@ -286,91 +250,71 @@ HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
   HealthReport report;
   report.heartbeats = scheduler_.run(deadline, pool);
   const Tick now = fleet_->clock().now();
+  const uint32_t max_attempts = options_.policy.max_heal_attempts;
+  auto& slots = scheduler_.books_.slots;
 
-  // Assess every watched device against the policy; latch new
-  // quarantines. Records come back sorted by id, so the report is too.
-  const std::vector<FreshnessRecord> records = scheduler_.records();
-  std::vector<QuarantineEntry> to_remediate;
+  // Assess every watched device against the policy and latch new
+  // quarantines, in id order, so the report is sorted too. The slot
+  // pointers stay valid through this pass: only runs change the books,
+  // and decommission must not race a run.
+  using Slot = CfaBooks<HeartbeatScheduler::Watched>::Slot;
+  std::vector<const Slot*> to_remediate;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Drop quarantine entries and heal counts for devices the scheduler
-    // no longer watches (decommissioned): there is nothing left to
-    // remediate.
-    keep_watched(quarantine_, records);
-    keep_watched(heal_attempts_, records);
-    const uint32_t max_attempts = options_.policy.max_heal_attempts;
-    for (const FreshnessRecord& record : records) {
-      const QuarantineReason reason = assess(record, now, options_.policy);
-      if (reason == QuarantineReason::kNone) continue;
-      if (quarantine_.count(record.device_id) != 0) continue;
-      QuarantineEntry entry;
-      entry.device_id = record.device_id;
-      entry.reason = reason;
-      entry.since = now;
-      entry.remediation_attempts = heal_attempts_[record.device_id];
-      // A device re-entering quarantine with its lifetime attempt
-      // budget already spent escalates immediately: the previous heals
-      // did not stick, so another automated pass would too.
-      if (max_attempts != 0 && entry.remediation_attempts >= max_attempts) {
-        entry.reason = QuarantineReason::kEscalated;
-        report.escalated.push_back(entry);
+    std::lock_guard<std::mutex> lock(scheduler_.mu_);
+    for (auto& [id, slot] : slots) {
+      HeartbeatScheduler::Watched& watched = slot.value;
+      if (!watched.quarantine) {
+        const QuarantineReason reason =
+            assess(watched.record, now, options_.policy);
+        if (reason == QuarantineReason::kNone) continue;
+        watched.quarantine =
+            QuarantineEntry{id, reason, now, watched.heal_attempts};
+        report.newly_quarantined.push_back(*watched.quarantine);
       }
-      quarantine_.emplace(record.device_id, entry);
-      report.newly_quarantined.push_back(std::move(entry));
-    }
-    if (remediation_.has_value()) {
-      to_remediate.reserve(quarantine_.size());
-      for (const auto& [id, entry] : quarantine_) {
-        // Terminal: escalated devices wait for the operator.
-        if (entry.reason == QuarantineReason::kEscalated) continue;
-        to_remediate.push_back(entry);
+      // Terminal: escalated devices wait for the operator.
+      if (remediation_.has_value() &&
+          watched.quarantine->reason != QuarantineReason::kEscalated) {
+        to_remediate.push_back(&slot);
       }
     }
   }
-
-  const size_t reentry_escalations = report.escalated.size();
 
   // Remediate (campaign staged only): one attempt per quarantined
   // device, outcomes indexed by sorted id so the pooled pass is
   // bit-identical to the serial one (each device's outcome depends on
   // its own state alone; the clock does not advance mid-pass).
-  if (!to_remediate.empty()) {
-    std::vector<RemediationOutcome> outcomes(to_remediate.size());
-    common::for_each_index(pool, to_remediate.size(), [&](size_t i) {
-      outcomes[i] = remediate_one(to_remediate[i], now);
-    });
-    std::lock_guard<std::mutex> lock(mu_);
-    const uint32_t max_attempts = options_.policy.max_heal_attempts;
-    for (const RemediationOutcome& outcome : outcomes) {
-      if (outcome.healed) {
-        quarantine_.erase(outcome.device_id);
-        scheduler_.note_remediated(outcome.device_id, now);
-        continue;
-      }
-      const uint32_t attempts = ++heal_attempts_[outcome.device_id];
-      auto it = quarantine_.find(outcome.device_id);
-      if (it == quarantine_.end()) continue;
-      it->second.remediation_attempts = attempts;
-      if (max_attempts != 0 && attempts >= max_attempts) {
-        it->second.reason = QuarantineReason::kEscalated;
-        report.escalated.push_back(it->second);
-      }
-    }
-    report.remediations = std::move(outcomes);
-  }
+  report.remediations.resize(to_remediate.size());
+  common::for_each_index(pool, to_remediate.size(), [&](size_t i) {
+    report.remediations[i] = remediate_one(
+        *to_remediate[i]->device.session, *to_remediate[i]->value.quarantine,
+        now);
+  });
 
-  // Escalations accrete from two id-ordered runs (budget-exhausted
-  // re-entry, then the just-failed attempts); merge them to keep the
-  // report's sorted-by-id contract.
-  std::inplace_merge(report.escalated.begin(),
-                     report.escalated.begin() + reentry_escalations,
-                     report.escalated.end(),
-                     [](const QuarantineEntry& a, const QuarantineEntry& b) {
-                       return a.device_id < b.device_id;
-                     });
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    report.quarantined_after = quarantine_.size();
+  // Fold the outcomes back and escalate, in one id-ordered pass: a
+  // healed device leaves quarantine with its freshness restarted; a
+  // failed attempt counts against the device's lifetime budget, and a
+  // quarantined device whose budget is spent becomes terminal.
+  std::lock_guard<std::mutex> lock(scheduler_.mu_);
+  auto outcome = report.remediations.begin();
+  for (auto& [id, slot] : slots) {
+    HeartbeatScheduler::Watched& watched = slot.value;
+    if (outcome != report.remediations.end() && outcome->device_id == id) {
+      if (outcome->healed) {
+        watched.quarantine.reset();
+        HeartbeatScheduler::note_remediated(watched.record, now);
+      } else {
+        watched.quarantine->remediation_attempts = ++watched.heal_attempts;
+      }
+      ++outcome;
+    }
+    if (!watched.quarantine) continue;
+    ++report.quarantined_after;
+    QuarantineEntry& entry = *watched.quarantine;
+    if (max_attempts != 0 && entry.remediation_attempts >= max_attempts &&
+        entry.reason != QuarantineReason::kEscalated) {
+      entry.reason = QuarantineReason::kEscalated;
+      report.escalated.push_back(entry);
+    }
   }
   return report;
 }

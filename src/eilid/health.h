@@ -20,9 +20,10 @@
 //     is quarantined when its last clean verdict is older than the
 //     staleness threshold (stale or missing announcements) or when any
 //     evidence since its last remediation convicted it.
-//   - HealthMonitor: owns the scheduler, a latched quarantine set, and
-//     an optional staged remediation campaign. run_until() advances
-//     fleet time, fires due heartbeats, quarantines stale/convicted
+//   - HealthMonitor: owns the scheduler -- whose per-device slot also
+//     holds the device's latched quarantine entry and lifetime heal
+//     count -- and an optional staged remediation campaign. run_until()
+//     advances fleet time, fires due heartbeats, quarantines stale/convicted
 //     devices, and -- when a remediation campaign is staged --
 //     remediates every quarantined device with no operator action:
 //     reflash (factory reset to the recorded image, so even a device
@@ -58,7 +59,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -137,12 +137,39 @@ struct HeartbeatReport {
   bool operator==(const HeartbeatReport&) const = default;
 };
 
+// When (and why) a device must be pulled from service.
+enum class QuarantineReason : uint8_t {
+  kNone,       // healthy: fresh, clean evidence
+  kStale,      // announcements stale or missing past the threshold
+  kConvicted,  // evidence since the last remediation convicted it
+  // Terminal: automated remediation was tried max_heal_attempts times
+  // over the device's lifetime (across releases and re-quarantines) and
+  // the device still is not healthy. The monitor stops spending
+  // remediation passes on it; only operator action clears the state:
+  // decommission, or a redeploy -- under the same id or a new one --
+  // which is a new device with no quarantine entry and a fresh heal
+  // budget. Never returned by assess() -- escalation is a monitor
+  // decision, not a freshness one.
+  kEscalated,
+};
+
+std::string_view quarantine_reason_name(QuarantineReason reason);
+
+struct QuarantineEntry {
+  std::string device_id;
+  QuarantineReason reason = QuarantineReason::kNone;
+  Tick since = 0;  // tick the device entered quarantine
+  uint32_t remediation_attempts = 0;
+
+  bool operator==(const QuarantineEntry&) const = default;
+};
+
 // Drives periodic attestation sweeps over the fleet's kCfaBaseline
 // devices (Fleet::cfa_devices(); other devices emit no announcements
-// and are not judged). Each run_until merge-walks its records against
-// that id-ordered list: devices deployed since the last run join, with
-// a fresh record, decommissioned devices are pruned, and an id that
-// was decommissioned and deployed again restarts with a fresh record
+// and are not judged). Each run_until syncs its CfaBooks against that
+// id-ordered list: devices deployed since the last run join with a
+// fresh record, decommissioned devices are pruned, and an id that was
+// decommissioned and deployed again restarts with a fresh record
 // (decommission must not race a run, per the fleet contract).
 class HeartbeatScheduler {
  public:
@@ -161,46 +188,36 @@ class HeartbeatScheduler {
   // One device's record (value-initialized when unwatched).
   FreshnessRecord record(const std::string& device_id) const;
 
-  // Fold a successful remediation into the schedule: the device just
-  // produced a clean verdict at `tick`, so its freshness restarts
-  // (HealthMonitor calls this; the next regular beat stays scheduled).
-  void note_remediated(const std::string& device_id, Tick tick);
-
   const HeartbeatOptions& options() const { return options_; }
 
  private:
-  friend class HealthMonitor;  // drives run() with its own pool choice
+  // Drives run() with its own pool choice and keeps its per-device
+  // state in the scheduler's slots.
+  friend class HealthMonitor;
   HeartbeatReport run(Tick deadline, common::ThreadPool* pool);
   Tick phase_for(const std::string& device_id) const;
+  // Fold a successful remediation into the record: the device just
+  // produced a clean verdict at `tick`, so its freshness restarts (the
+  // next regular beat stays scheduled).
+  static void note_remediated(FreshnessRecord& record, Tick tick);
 
-  // One watched device: its record and the registry identity it was
-  // adopted under (a redeployed id carries a new deployment number).
+  // One watched device. The quarantine entry and heal count belong to
+  // HealthMonitor; a redeployed id gets a new Watched, so neither
+  // follows the id to the next device.
   struct Watched {
     FreshnessRecord record;
-    Fleet::CfaDevice device;
+    std::optional<QuarantineEntry> quarantine;
+    // Failed remediations over this device's lifetime: kept when the
+    // device heals and leaves quarantine, which is what breaks the
+    // heal -> re-convict forever-loop (HealthPolicy::max_heal_attempts).
+    uint32_t heal_attempts = 0;
   };
 
   Fleet* fleet_;
   HeartbeatOptions options_;
-  mutable std::mutex mu_;  // guards records_
-  std::map<std::string, Watched> records_;
+  mutable std::mutex mu_;  // guards books_
+  CfaBooks<Watched> books_;
 };
-
-// When (and why) a device must be pulled from service.
-enum class QuarantineReason : uint8_t {
-  kNone,       // healthy: fresh, clean evidence
-  kStale,      // announcements stale or missing past the threshold
-  kConvicted,  // evidence since the last remediation convicted it
-  // Terminal: automated remediation was tried max_heal_attempts times
-  // over the device's lifetime (across releases and re-quarantines) and
-  // the device still is not healthy. The monitor stops spending
-  // remediation passes on it; only operator action (decommission, or
-  // redeploying under a new id) clears the state. Never returned by
-  // assess() -- escalation is a monitor decision, not a freshness one.
-  kEscalated,
-};
-
-std::string_view quarantine_reason_name(QuarantineReason reason);
 
 struct HealthPolicy {
   // A device whose last clean verdict (or enrollment, if it never had
@@ -210,7 +227,8 @@ struct HealthPolicy {
   // device has burned this many failed attempts it escalates to the
   // terminal kEscalated state instead of being remediated again. The
   // count survives a successful heal, so a device stuck in a
-  // heal -> re-convict cycle cannot consume remediation passes forever.
+  // heal -> re-convict cycle cannot consume remediation passes forever;
+  // a redeploy of the id is a new device and starts from zero.
   // 0 means unbounded (the pre-escalation behavior).
   uint32_t max_heal_attempts = 0;
 };
@@ -223,15 +241,6 @@ struct HealthPolicy {
 // ever swept) quarantines nothing.
 QuarantineReason assess(const FreshnessRecord& record, Tick now,
                         const HealthPolicy& policy);
-
-struct QuarantineEntry {
-  std::string device_id;
-  QuarantineReason reason = QuarantineReason::kNone;
-  Tick since = 0;  // tick the device entered quarantine
-  uint32_t remediation_attempts = 0;
-
-  bool operator==(const QuarantineEntry&) const = default;
-};
 
 // One automated remediation attempt: reflash -> re-update -> re-attest.
 struct RemediationOutcome {
@@ -281,29 +290,23 @@ class HealthMonitor {
 
   // Stage the campaign remediation re-updates devices with (normally
   // Fleet::stage_update onto the fleet's golden build). Until one is
-  // staged, quarantined devices stay quarantined.
+  // staged, quarantined devices stay quarantined. Call between runs.
   void stage_remediation(UpdateCampaign campaign);
 
-  std::vector<QuarantineEntry> quarantined() const;  // sorted by id
+  // Sorted by id; safe to call while a run is in flight.
+  std::vector<QuarantineEntry> quarantined() const;
   std::vector<FreshnessRecord> records() const { return scheduler_.records(); }
   HeartbeatScheduler& scheduler() { return scheduler_; }
   const HealthOptions& options() const { return options_; }
 
  private:
   HealthReport run(Tick deadline, common::ThreadPool* pool);
-  RemediationOutcome remediate_one(const QuarantineEntry& entry, Tick now);
+  RemediationOutcome remediate_one(DeviceSession& session,
+                                   const QuarantineEntry& entry, Tick now);
 
   Fleet* fleet_;
   HealthOptions options_;
-  HeartbeatScheduler scheduler_;
-  mutable std::mutex mu_;  // guards quarantine_ and heal_attempts_
-  std::map<std::string, QuarantineEntry> quarantine_;
-  // Lifetime failed-remediation count per device id. Deliberately NOT
-  // erased when a device heals and leaves quarantine_ -- the
-  // max_heal_attempts budget is per device lifetime, which is what
-  // breaks the heal -> re-convict forever-loop. Pruned only when the
-  // scheduler stops watching the id (decommission).
-  std::map<std::string, uint32_t> heal_attempts_;
+  HeartbeatScheduler scheduler_;  // also holds each device's quarantine
   std::optional<UpdateCampaign> remediation_;
 };
 

@@ -26,16 +26,17 @@ void fold(AttestSummary& summary,
 
 IncrementalVerifier::IncrementalVerifier(Fleet& fleet,
                                          IncrementalOptions options)
-    : fleet_(&fleet), options_(options) {
+    : fleet_(&fleet),
+      options_(options),
+      // A positive byte budget drains at least one edge per slice.
+      max_edges_per_slice_(
+          options.max_bytes_per_slice == 0
+              ? 0
+              : std::max<size_t>(1, options.max_bytes_per_slice /
+                                        cfa::LoggedEdge::kWireBytes)) {
   if (options_.period == 0) {
     throw FleetError("incremental verifier: period must be nonzero");
   }
-}
-
-size_t IncrementalVerifier::max_edges_per_slice() const {
-  if (options_.max_bytes_per_slice == 0) return 0;  // unbounded
-  const size_t edges = options_.max_bytes_per_slice / cfa::LoggedEdge::kWireBytes;
-  return edges == 0 ? 1 : edges;  // a positive byte budget drains >= 1
 }
 
 IncrementalVerifier::WindowReport IncrementalVerifier::run_until(
@@ -61,59 +62,51 @@ IncrementalVerifier::WindowReport IncrementalVerifier::run(
     next_round_ = report.from + options_.period;
     scheduled_ = true;
   }
-  const size_t max_edges = max_edges_per_slice();
-
   while (next_round_ <= deadline) {
     clock.advance_to(next_round_);
     Round round;
     round.tick = next_round_;
 
-    // Re-read the registry's id-ordered CFA devices each round so
-    // deployments mid-window join the rotation.
+    // Sync the books with the registry's CFA devices each round:
+    // deployments mid-window join the rotation, decommissioned ids drop
+    // out with their summaries, and a redeployed id starts a fresh one.
     const std::vector<Fleet::CfaDevice> devices = fleet_->cfa_devices();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      books_.sync(devices, [](const std::string&) { return AttestSummary{}; });
+    }
 
-    if (!devices.empty()) {
-      // Resume the cyclic id-order walk strictly after the cursor. The
-      // cursor advances past *examined* devices, not just sliced ones,
-      // so a run of offline devices cannot stall the rotation.
-      const size_t start =
-          std::upper_bound(devices.begin(), devices.end(), cursor_,
-                           [](const std::string& cursor,
-                              const Fleet::CfaDevice& device) {
-                             return cursor < device.session->id();
-                           }) -
-          devices.begin();
-      const size_t budget = options_.max_devices_per_tick == 0
-                                ? devices.size()
-                                : options_.max_devices_per_tick;
-      std::vector<const Fleet::CfaDevice*> picked;
-      for (size_t examined = 0;
-           examined < devices.size() && picked.size() < budget; ++examined) {
-        const Fleet::CfaDevice& device =
-            devices[(start + examined) % devices.size()];
-        cursor_ = device.session->id();
-        if (device.session->online()) picked.push_back(&device);
-      }
+    // Resume the cyclic id-order walk strictly after the cursor. The
+    // cursor advances past *examined* devices, not just sliced ones, so
+    // a run of offline devices cannot stall the rotation. Only run()
+    // changes the books, so walking them needs no lock.
+    auto& slots = books_.slots;
+    const size_t budget = options_.max_devices_per_tick == 0
+                              ? slots.size()
+                              : options_.max_devices_per_tick;
+    std::vector<CfaBooks<AttestSummary>::Slot*> picked;
+    auto it = slots.upper_bound(cursor_);
+    for (size_t examined = 0;
+         examined < slots.size() && picked.size() < budget; ++examined) {
+      if (it == slots.end()) it = slots.begin();
+      cursor_ = it->first;
+      if (it->second.device.session->online()) picked.push_back(&it->second);
+      ++it;
+    }
 
-      // Slices land by rotation index: pooled workers interleave but
-      // the round -- and every fold below -- is bit-identical to the
-      // serial one (per-device evidence and replay state are private;
-      // attest takes the device's own lock).
-      round.slices.resize(picked.size());
-      common::for_each_index(pool, picked.size(), [&](size_t i) {
-        round.slices[i] =
-            fleet_->verifier().attest(*picked[i]->session, max_edges);
-      });
-
+    // Slices land by rotation index: pooled workers interleave but the
+    // round -- and every fold below -- is bit-identical to the serial
+    // one (per-device evidence and replay state are private; attest
+    // takes the device's own lock).
+    round.slices.resize(picked.size());
+    common::for_each_index(pool, picked.size(), [&](size_t i) {
+      round.slices[i] = fleet_->verifier().attest(*picked[i]->device.session,
+                                                  max_edges_per_slice_);
+    });
+    {
       std::lock_guard<std::mutex> lock(mu_);
       for (size_t i = 0; i < picked.size(); ++i) {
-        Folded& folded = summaries_[picked[i]->session->id()];
-        if (folded.deployed != picked[i]->deployed) {
-          // First slice of this device, or of a redeployed id: the
-          // previous device's history is not this one's.
-          folded = Folded{AttestSummary{}, picked[i]->deployed};
-        }
-        fold(folded.summary, round.slices[i]);
+        fold(picked[i]->value, round.slices[i]);
       }
     }
 
@@ -129,16 +122,18 @@ IncrementalVerifier::WindowReport IncrementalVerifier::run(
 std::vector<AttestSummary> IncrementalVerifier::summaries() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<AttestSummary> out;
-  out.reserve(summaries_.size());
-  for (const auto& [id, folded] : summaries_) out.push_back(folded.summary);
+  for (const auto& [id, slot] : books_.slots) {
+    // fold() names the summary, so an unnamed one was never reached.
+    if (!slot.value.device_id.empty()) out.push_back(slot.value);
+  }
   return out;
 }
 
 AttestSummary IncrementalVerifier::summary(
     const std::string& device_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = summaries_.find(device_id);
-  return it == summaries_.end() ? AttestSummary{} : it->second.summary;
+  auto it = books_.slots.find(device_id);
+  return it == books_.slots.end() ? AttestSummary{} : it->second.value;
 }
 
 }  // namespace eilid

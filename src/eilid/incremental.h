@@ -40,7 +40,6 @@
 #define EILID_EILID_INCREMENTAL_H
 
 #include <cstddef>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -111,12 +110,13 @@ class IncrementalVerifier {
     bool operator==(const WindowReport&) const = default;
   };
 
-  // Rotates over the fleet's kCfaBaseline devices
-  // (Fleet::cfa_devices(), re-read every round): devices deployed later
-  // join on the next round, decommissioned devices drop out of the
-  // rotation, and an id decommissioned and deployed again folds into a
-  // fresh summary (decommission must not race a run, per the fleet
-  // contract). Throws eilid::FleetError on period == 0.
+  // Rotates over the fleet's kCfaBaseline devices: every round syncs
+  // the verifier's CfaBooks with Fleet::cfa_devices(), so devices
+  // deployed later join on that round, decommissioned devices leave the
+  // rotation and their summaries are pruned with them, and an id
+  // decommissioned and deployed again folds into a fresh summary
+  // (decommission must not race a run, per the fleet contract). Throws
+  // eilid::FleetError on period == 0.
   explicit IncrementalVerifier(Fleet& fleet, IncrementalOptions options = {});
 
   // Advance fleet time to `deadline`, firing a round every `period`
@@ -132,14 +132,12 @@ class IncrementalVerifier {
   WindowReport run_until(Tick deadline);
   WindowReport run_until(Tick deadline, common::ThreadPool& pool);
 
-  // Folded summaries, sorted by device id / for one device
-  // (value-initialized when the rotation never reached it).
+  // Folded summaries of the watched devices the rotation has reached,
+  // sorted by device id / for one device (value-initialized when the
+  // rotation never reached it). A decommissioned device's summary is
+  // pruned at the next round.
   std::vector<AttestSummary> summaries() const;
   AttestSummary summary(const std::string& device_id) const;
-
-  // The per-slice edge budget max_bytes_per_slice implies (0 when
-  // unbounded).
-  size_t max_edges_per_slice() const;
 
   const IncrementalOptions& options() const { return options_; }
 
@@ -148,14 +146,14 @@ class IncrementalVerifier {
 
   Fleet* fleet_;
   IncrementalOptions options_;
-  // A device's summary and the deployment it folds (Fleet::CfaDevice).
-  struct Folded {
-    AttestSummary summary;
-    uint64_t deployed = 0;
-  };
+  // The per-slice edge budget max_bytes_per_slice implies (0 when
+  // unbounded).
+  const size_t max_edges_per_slice_;
 
-  mutable std::mutex mu_;  // guards summaries_ against concurrent readers
-  std::map<std::string, Folded> summaries_;
+  // Only run() changes the books; it takes mu_ to do so, and so do
+  // the concurrent readers.
+  mutable std::mutex mu_;
+  CfaBooks<AttestSummary> books_;
   // Rotation state: the id the last round stopped at (next round
   // resumes strictly after it, wrapping), and the next due tick.
   std::string cursor_;

@@ -550,6 +550,75 @@ TEST(FleetConcurrency, HeartbeatSweepsRaceRollout) {
   }
 }
 
+// HealthMonitor keeps each device's quarantine entry and heal count in
+// the heartbeat scheduler's slot for it, and the windowed verifier
+// folds its summaries into its own books. A reader thread polls all
+// three views while pooled passes quarantine, remediate, release and
+// re-adopt devices and pooled windows fold slices.
+TEST(FleetConcurrency, ReadersRaceRemediationAndWindowRounds) {
+  Fleet fleet;
+  constexpr size_t kDevices = 8;
+  auto id = [](size_t i) { return "heal-" + std::to_string(i); };
+  auto deploy = [&](size_t i) {
+    fleet.provision(id(i), kTinyApp, "tiny", EnforcementPolicy::kCfaBaseline)
+        .run_to_symbol("halt", 100000);
+  };
+  for (size_t i = 0; i < kDevices; ++i) deploy(i);
+  HealthMonitor health(fleet, {.heartbeat = {.period = 5},
+                               .policy = {.staleness_threshold = 8}});
+  health.stage_remediation(fleet.stage_update(fleet.at(id(0)).shared_build()));
+  IncrementalVerifier windowed(fleet, {.period = 5, .max_devices_per_tick = 3});
+
+  auto by_id = [](const auto& a, const auto& b) {
+    return a.device_id < b.device_id;
+  };
+  std::atomic<bool> done{false};
+  std::atomic<size_t> reads{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      const std::vector<QuarantineEntry> quarantined = health.quarantined();
+      const std::vector<FreshnessRecord> records = health.records();
+      const std::vector<AttestSummary> summaries = windowed.summaries();
+      EXPECT_LE(quarantined.size(), kDevices);
+      EXPECT_LE(records.size(), kDevices);
+      EXPECT_TRUE(std::is_sorted(quarantined.begin(), quarantined.end(), by_id));
+      EXPECT_TRUE(std::is_sorted(records.begin(), records.end(), by_id));
+      EXPECT_TRUE(std::is_sorted(summaries.begin(), summaries.end(), by_id));
+      ++reads;
+    }
+  });
+
+  // Every other device is offline for two passes in four: it goes
+  // stale, fails an unreachable attempt, then comes back and heals.
+  common::ThreadPool pool(3);
+  size_t quarantines = 0, healed = 0;
+  for (size_t pass = 0; pass < 12 || reads.load() == 0; ++pass) {
+    if (pass == 6) {  // re-adopted under the readers' eyes
+      fleet.decommission(id(7));
+      deploy(7);
+    }
+    for (size_t i = 1; i < kDevices; i += 2) {
+      fleet.at(id(i)).set_online(pass % 4 < 2);
+    }
+    const HealthReport report =
+        health.run_until(fleet.clock().now() + 10, pool);
+    quarantines += report.newly_quarantined.size();
+    for (const RemediationOutcome& outcome : report.remediations) {
+      healed += outcome.healed ? 1 : 0;
+    }
+    windowed.run_until(fleet.clock().now() + 10, pool);
+  }
+  done.store(true);
+  reader.join();
+
+  EXPECT_GT(quarantines, 0u);
+  EXPECT_GT(healed, 0u);
+  EXPECT_EQ(health.records().size(), kDevices);
+  for (const AttestSummary& summary : windowed.summaries()) {
+    EXPECT_FALSE(summary.convicted()) << summary.device_id;
+  }
+}
+
 // Pooled deploys race heartbeat and windowed rounds on one fleet. Both
 // schedulers read the registry's id-ordered CFA devices at the start of
 // each run_until, so every kCfaBaseline device whose deploy returned

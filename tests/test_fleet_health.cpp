@@ -574,6 +574,73 @@ TEST(EscalationTest, ZeroMaxHealAttemptsMeansUnbounded) {
   EXPECT_EQ(health.quarantined()[0].remediation_attempts, 5u);
 }
 
+// A decommissioned id deployed again is a new device to the monitor:
+// neither the old device's quarantine entry nor its lifetime heal count
+// follows the id.
+TEST(EscalationTest, RedeployedIdStartsWithFreshQuarantineAndHealBudget) {
+  Fleet fleet;
+  provision_fleet(fleet, 3);
+  HealthMonitor health(
+      fleet, {.heartbeat = {.period = 10},
+              .policy = {.staleness_threshold = 15, .max_heal_attempts = 2}});
+  auto redeploy = [&](const std::string& id) -> DeviceSession& {
+    fleet.decommission(id);
+    DeviceSession& dev =
+        fleet.provision(id, firmware(0), "fw", EnforcementPolicy::kCfaBaseline,
+                        {.cfa = {.log_capacity = 65536}});
+    dev.run_to_symbol("halt", 100000);
+    return dev;
+  };
+
+  // No campaign yet: dev-00 is convicted by a rogue patch and dev-01
+  // goes stale offline. Both are quarantined at 20.
+  diverge_out_of_band(fleet, device_id(0));
+  fleet.at(device_id(1)).set_online(false);
+  HealthReport report = health.run_until(20);
+  ASSERT_EQ(report.newly_quarantined.size(), 2u);
+  EXPECT_EQ(report.newly_quarantined[0].reason, QuarantineReason::kConvicted);
+  EXPECT_EQ(report.newly_quarantined[1].reason, QuarantineReason::kStale);
+
+  // dev-00 comes back clean under the same id: it is not quarantined.
+  redeploy(device_id(0));
+  report = health.run_until(40);
+  EXPECT_TRUE(report.newly_quarantined.empty());
+  const FreshnessRecord record = health.scheduler().record(device_id(0));
+  EXPECT_EQ(record.enrolled_tick, 20u);
+  EXPECT_FALSE(record.convicted);
+  ASSERT_EQ(health.quarantined().size(), 1u);
+  EXPECT_EQ(health.quarantined()[0].device_id, device_id(1));
+
+  // With a campaign staged, the unreachable dev-01 burns its budget in
+  // two failed attempts and escalates.
+  health.stage_remediation(
+      fleet.stage_update(fleet.at(device_id(2)).shared_build()));
+  health.run_until(50);
+  report = health.run_until(60);
+  ASSERT_EQ(report.escalated.size(), 1u);
+  EXPECT_EQ(report.escalated[0].device_id, device_id(1));
+  EXPECT_EQ(report.escalated[0].remediation_attempts, 2u);
+
+  // Redeployed, dev-01 is a new device: it is not quarantined until it
+  // goes stale on its own, and then with its heal budget untouched.
+  redeploy(device_id(1)).set_online(false);
+  report = health.run_until(70);
+  EXPECT_TRUE(report.newly_quarantined.empty());
+  EXPECT_TRUE(report.escalated.empty());
+  EXPECT_EQ(report.quarantined_after, 0u);
+  report = health.run_until(80);
+  ASSERT_EQ(report.newly_quarantined.size(), 1u);
+  EXPECT_EQ(report.newly_quarantined[0].device_id, device_id(1));
+  EXPECT_EQ(report.newly_quarantined[0].reason, QuarantineReason::kStale);
+  EXPECT_EQ(report.newly_quarantined[0].remediation_attempts, 0u);
+  ASSERT_EQ(report.remediations.size(), 1u);
+  EXPECT_FALSE(report.remediations[0].reachable);
+  EXPECT_TRUE(report.escalated.empty());
+  ASSERT_EQ(health.quarantined().size(), 1u);
+  EXPECT_EQ(health.quarantined()[0].reason, QuarantineReason::kStale);
+  EXPECT_EQ(health.quarantined()[0].remediation_attempts, 1u);
+}
+
 // --------------------------------------------------------- soak windows
 
 TEST(SoakTest, SoakResweepCatchesCompromiseTheFirstSweepMissed) {

@@ -637,6 +637,36 @@ TEST(IncrementalVerifierTest, RedeployedIdRestartsHeartbeatAndWindowRecords) {
   EXPECT_EQ(heartbeat.record(device_id(0)).heartbeats, 20u);
   EXPECT_EQ(heartbeat.record(device_id(0)).enrolled_tick, 0u);
   EXPECT_EQ(heartbeat.records().size(), 3u);
+
+  // A decommissioned id that is not deployed again leaves both
+  // schedulers' books at their next round.
+  fleet.decommission(device_id(2));
+  windowed.run_until(210);
+  heartbeat.run_until(210);
+  auto ids = [](const auto& books) {
+    std::vector<std::string> out;
+    for (const auto& entry : books) out.push_back(entry.device_id);
+    return out;
+  };
+  const std::vector<std::string> kept = {device_id(0), device_id(1)};
+  EXPECT_EQ(ids(windowed.summaries()), kept);
+  EXPECT_EQ(ids(heartbeat.records()), kept);
+
+  // Churn: devices that come, are windowed and go leave no summaries.
+  fleet.decommission(device_id(0));
+  fleet.decommission(device_id(1));
+  for (size_t i = 0; i < 20; ++i) {
+    const std::string id = "churn-" + std::to_string(i);
+    fleet.provision(id, firmware(0), "fw", EnforcementPolicy::kCfaBaseline)
+        .run_to_symbol("halt", 100000);
+    windowed.run_until(fleet.clock().now() + 10);
+    EXPECT_EQ(windowed.summary(id).device_id, id);
+    fleet.decommission(id);
+  }
+  windowed.run_until(fleet.clock().now() + 10);
+  heartbeat.run_until(fleet.clock().now());
+  EXPECT_TRUE(windowed.summaries().empty());
+  EXPECT_TRUE(heartbeat.records().empty());
 }
 
 // ------------------------------------------------- heartbeat backoff
