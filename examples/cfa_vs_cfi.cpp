@@ -19,7 +19,7 @@ int main() {
   // --- CFA device: unprotected app + logging monitor + verifier. ---
   // Generous on-device log so no evidence is lost to overflow (with the
   // default 256-edge log the hijack edge is dropped before the first
-  // report -- run bench_ablation_cfa_latency for that effect).
+  // report).
   DeviceSession& cfa_device =
       fleet.provision("gw-cfa", app.source, app.name,
                       EnforcementPolicy::kCfaBaseline,

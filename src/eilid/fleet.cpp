@@ -178,15 +178,12 @@ namespace {
 // pipeline run through this key.
 crypto::Digest build_key(const std::string& source, const std::string& name,
                          const core::BuildOptions& o) {
-  const core::RomConfig& rom =
-      o.prebuilt_rom != nullptr ? o.prebuilt_rom->config : o.rom;
+  const core::RomConfig& rom = o.rom;
   const core::InstrumentConfig& in = o.instrument;
   std::string meta = "eilid-build-v2|" + name + "|";
   auto flag = [&meta](bool b) { meta += b ? '1' : '0'; };
   auto num = [&meta](uint64_t v) { meta += std::to_string(v) + ","; };
   flag(o.eilid);
-  flag(o.verify_convergence);
-  flag(o.prebuilt_rom != nullptr);
   flag(in.backward_edge);
   flag(in.interrupt_edge);
   flag(in.forward_edge);
@@ -196,23 +193,6 @@ crypto::Digest build_key(const std::string& source, const std::string& name,
   num(rom.secure_size);
   num(rom.table_capacity);
   flag(rom.memory_backed_index);
-  // A prebuilt ROM is part of the flashed result, so its *image bytes*
-  // are part of the build's identity -- the config alone is not enough
-  // (two ROMs can share a config yet differ in code), and aliasing
-  // them would flash the second device with the first ROM.
-  if (o.prebuilt_rom != nullptr) {
-    const core::RomInfo& info = *o.prebuilt_rom;
-    num(info.entry_start);
-    num(info.entry_end);
-    num(info.leave_start);
-    num(info.leave_end);
-    for (const auto& chunk : info.unit.image.chunks()) {
-      num(chunk.base);
-      num(chunk.data.size());
-      meta.append(reinterpret_cast<const char*>(chunk.data.data()),
-                  chunk.data.size());
-    }
-  }
   meta += '|';
 
   crypto::Sha256 h;

@@ -18,7 +18,8 @@
 // listing -- the paper's three-iteration flow, Fig. 2) or assembler
 // labels (single-pass mode, used as a compile-time ablation).
 //
-// Deviations from the paper, documented in DESIGN.md:
+// Deviations from the paper, each pinned by a Fig5/* or Fig8/* row of
+// tests/test_paper_fidelity.cpp:
 //   - ISR context offsets follow real MSP430 interrupt-entry layout
 //     (SR at 0(SP), PC at 2(SP)) rather than Fig. 5's 0/-2 offsets.
 //   - ISR instrumentation saves/restores r6 and r7: without this, an

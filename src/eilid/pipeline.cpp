@@ -89,17 +89,10 @@ BuildResult build_app(const std::string& source, const std::string& name,
     return result;
   }
 
-  RomConfig rom_cfg = options.rom;
-  if (options.prebuilt_rom != nullptr) {
-    result.rom = *options.prebuilt_rom;
-    rom_cfg = result.rom.config;
-  } else {
-    result.rom = build_rom(rom_cfg);
-  }
-
+  result.rom = build_rom(options.rom);
   const InstrumentConfig& icfg = options.instrument;
   Instrumenter inst(icfg, result.rom.unit.symbols,
-                    !rom_cfg.memory_backed_index);
+                    !options.rom.memory_backed_index);
 
   if (icfg.label_mode) {
     // Single-pass ablation: return addresses are assembler labels.
@@ -125,16 +118,12 @@ BuildResult build_app(const std::string& source, const std::string& name,
   masm::AssembledUnit build3 = masm::assemble(inst3.lines, name);
   result.iterations.push_back({inst3.lines.size(), build3.image.size_bytes()});
 
-  if (options.verify_convergence) {
-    // A fourth instrumentation must reproduce iteration 3 exactly:
-    // the layout of build2 and build3 agree, so the addresses read
-    // from either listing are identical.
-    InstrumentResult inst4 = inst.instrument(original, &build3.listing);
-    result.converged = (inst4.lines == inst3.lines);
-    if (!result.converged) {
-      throw InstrumentError(
-          "instrumented build did not converge after three iterations");
-    }
+  // A fourth instrumentation must reproduce iteration 3 exactly: the
+  // layout of build2 and build3 agree, so the addresses read from
+  // either listing are identical.
+  if (inst.instrument(original, &build3.listing).lines != inst3.lines) {
+    throw InstrumentError(
+        "instrumented build did not converge after three iterations");
   }
 
   result.app = std::move(build3);

@@ -6,8 +6,9 @@
 //   build 3: instrument(original, app_2.lst)         -> final image
 //
 // Iteration 3's addresses are final because instrumentation size is
-// independent of the numeric values it embeds; a convergence check
-// verifies this. Label mode (ablation) needs a single build.
+// independent of the numeric values it embeds; a fourth
+// instrumentation pass checks this on every build and throws if it
+// differs. Label mode (ablation) needs a single build.
 #ifndef EILID_EILID_PIPELINE_H
 #define EILID_EILID_PIPELINE_H
 
@@ -28,10 +29,6 @@ struct BuildOptions {
   bool eilid = true;  // false: plain (original) build, single pass
   InstrumentConfig instrument;
   RomConfig rom;
-  bool verify_convergence = true;  // assert iteration-3 fixpoint
-  // EILIDsw is device firmware, built once per deployment, not per app
-  // compile; benches pass a prebuilt ROM to keep compile-time honest.
-  const RomInfo* prebuilt_rom = nullptr;
 };
 
 struct IterationStats {
@@ -44,7 +41,6 @@ struct BuildResult {
   RomInfo rom;               // EILIDsw (empty unit when !eilid)
   InstrumentResult report;   // last instrumentation pass
   std::vector<IterationStats> iterations;  // Fig. 2 growth data
-  bool converged = true;
   // One shared, immutable artifact per concern, built once here on
   // every build path (attach_images) and shared read-only by every
   // device flashed with this build -- the fleet's build cache therefore

@@ -1,8 +1,11 @@
-// Memory map of the simulated EILID device (see DESIGN.md §4).
+// Memory map of the simulated EILID device. The rows MemoryMap/* and
+// Fig9b/shadow base of tests/test_paper_fidelity.cpp state where it
+// follows the paper and where it departs.
 //
 // The layout mirrors an openMSP430 configuration with CASU's secure ROM
-// and EILID's secure-DMEM extension. The shadow-stack base 0x2000
-// matches the worked example in the paper's Fig. 9(b).
+// and EILID's secure-DMEM extension. Secure DMEM starts at 0x2000, the
+// shadow-stack base of the paper's Fig. 9(b) example; here the
+// indirect-call table comes first, so the shadow stack starts higher.
 #ifndef EILID_SIM_MEMORY_MAP_H
 #define EILID_SIM_MEMORY_MAP_H
 

