@@ -15,20 +15,20 @@ HmacSha256::HmacSha256(std::span<const uint8_t> key) {
     std::copy(key.begin(), key.end(), k0.begin());
   }
 
+  std::array<uint8_t, kBlock> ipad;
   for (size_t i = 0; i < kBlock; ++i) {
-    ipad_[i] = static_cast<uint8_t>(k0[i] ^ 0x36);
+    ipad[i] = static_cast<uint8_t>(k0[i] ^ 0x36);
     opad_[i] = static_cast<uint8_t>(k0[i] ^ 0x5c);
   }
-  inner_.update(std::span<const uint8_t>(ipad_.data(), ipad_.size()));
+  inner_.update(std::span<const uint8_t>(ipad.data(), ipad.size()));
 }
 
 Digest HmacSha256::finish() {
-  Digest inner_digest = inner_.finish();  // finish() resets inner_
+  Digest inner_digest = inner_.finish();
   Sha256 outer;
   outer.update(std::span<const uint8_t>(opad_.data(), opad_.size()));
   outer.update(
       std::span<const uint8_t>(inner_digest.data(), inner_digest.size()));
-  inner_.update(std::span<const uint8_t>(ipad_.data(), ipad_.size()));  // re-arm
   return outer.finish();
 }
 

@@ -13,10 +13,9 @@
 namespace eilid::crypto {
 
 // Incremental HMAC-SHA256: stream the message through update() and
-// call finish() once. finish() re-arms the object with the same key,
-// so one instance can MAC a sequence of messages without re-deriving
-// the pads. Lets callers (e.g. the CFA report MAC) stream large
-// messages instead of materializing a contiguous byte vector.
+// call finish() once; one instance MACs one message. Lets callers (e.g.
+// the CFA report MAC) stream large messages instead of materializing a
+// contiguous byte vector.
 class HmacSha256 {
  public:
   explicit HmacSha256(std::span<const uint8_t> key);
@@ -25,7 +24,6 @@ class HmacSha256 {
   Digest finish();
 
  private:
-  std::array<uint8_t, Sha256::kBlockSize> ipad_;
   std::array<uint8_t, Sha256::kBlockSize> opad_;
   Sha256 inner_;
 };

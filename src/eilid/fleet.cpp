@@ -310,12 +310,13 @@ DeviceSession& Fleet::deploy(const std::string& device_id,
   // The one publication step: nothing before it is visible, so a deploy
   // that throws anywhere leaves no trace.
   std::lock_guard<std::mutex> lock(devices_mu_);
+  const uint64_t deployed = next_deployed_.load(std::memory_order_relaxed);
   auto [it, inserted] = devices_.try_emplace(
-      device_id, Entry{std::move(session), next_deployed_, std::move(books)});
+      device_id, Entry{std::move(session), deployed, std::move(books)});
   if (!inserted) {
     throw FleetError("fleet: device id '" + device_id + "' already deployed");
   }
-  ++next_deployed_;
+  next_deployed_.store(deployed + 1, std::memory_order_release);
   return *it->second.session;
 }
 
@@ -364,22 +365,15 @@ std::vector<DeviceSession*> Fleet::sessions() const {
   return out;
 }
 
-std::vector<Fleet::CfaDevice> Fleet::cfa_devices() const {
-  std::vector<CfaDevice> out;
-  std::lock_guard<std::mutex> lock(devices_mu_);
-  for (const auto& [id, entry] : devices_) {
-    if (entry.books.has_value()) {
-      out.push_back({entry.session.get(), entry.deployed});
-    }
-  }
-  return out;
-}
-
 void Fleet::decommission(const std::string& device_id) {
   std::map<std::string, Entry>::node_type doomed;
   {
     std::lock_guard<std::mutex> lock(devices_mu_);
     doomed = devices_.extract(device_id);
+    // A new registry version, so the schedulers' books prune the id.
+    if (!doomed.empty()) {
+      next_deployed_.fetch_add(1, std::memory_order_release);
+    }
   }
   if (doomed.empty()) {
     throw FleetError("fleet: unknown device id '" + device_id + "'");

@@ -82,19 +82,20 @@
 //       (replay state and expected report sequence). Deploy builds the
 //       books and the session outside the lock and inserts the entry
 //       once, so concurrent deploys serialize only on that insert.
-//     - Fleet::find()/at()/size()/sessions()/cfa_devices()/
-//       decommission() against concurrent deploys of *other* ids.
+//     - Fleet::find()/at()/size()/sessions()/decommission() against
+//       concurrent deploys of *other* ids.
 //     - VerifierService::attest()/verify_all(): every verdict -- a
 //       direct attest(), a bounded attest(session, max_edges) slice,
-//       or one device of any verify_all sweep -- resolves the session
-//       to its registry entry, then runs the one verdict body under
-//       that DeviceSession's mutex, which also guards the entry's
-//       books: disjoint devices attest in parallel and the same device
-//       is never attested twice at once. A wave gate and a concurrent
+//       one device of any verify_all sweep, or a scheduler's verdict
+//       on a CfaBooks slot -- runs the one verdict body under that
+//       DeviceSession's mutex, which also guards the entry's books:
+//       disjoint devices attest in parallel and the same device is
+//       never attested twice at once. A wave gate and a concurrent
 //       whole-fleet sweep serialize per device and interleave across
-//       devices. A session that is not this fleet's entry for its id
-//       (standalone, or aliasing a deployed id) is refused with
-//       FleetError before anything is drained.
+//       devices. attest()/verify_all() resolve sessions under the
+//       registry mutex (a slot already holds its entry) and refuse a
+//       session that is not this fleet's entry for its id (standalone,
+//       or aliasing a deployed id) with FleetError, draining nothing.
 //     - apps::run_workload_all(): drives disjoint sessions
 //       concurrently, taking each session's lock for the duration.
 //     - UpdateCampaign::apply_to()/roll_out(): each device updates
@@ -112,17 +113,16 @@
 //       itself is not shared across threads -- one run at a time per
 //       scheduler.
 //     - IncrementalVerifier::run_until() (src/eilid/incremental.h):
-//       windowed attestation rounds drain bounded slices via
-//       VerifierService::attest(session, max_edges) under the same
-//       per-device session locks as verify_all, so a rolling window
+//       windowed attestation rounds drain bounded slices under the
+//       same per-device session locks as verify_all, so a rolling window
 //       interleaves safely with heartbeat sweeps, rollouts and workload
 //       drivers; the pooled window's folded summaries are bit-identical
 //       to the serial window's AND to a barrier verify_all over the
 //       same evidence. One run_until at a time per verifier object
 //       (summaries() may be read concurrently).
 //     - HeartbeatScheduler::run_until()/HealthMonitor::run_until():
-//       heartbeat sweeps are verify_all subset sweeps (per-device
-//       locks), so they interleave safely with a concurrent rollout;
+//       heartbeat beats take the same per-device locks as a verify_all
+//       subset sweep, so they interleave safely with a rollout;
 //       remediation holds the device's session lock across its
 //       reflash and funnels its re-update through
 //       UpdateCampaign::apply_to(), the same lock an in-flight
@@ -141,15 +141,16 @@
 //       concurrent attestation sweep may also touch (run_workload_all
 //       and VerifierService already do).
 //     - decommission() of a device must not race attest()/
-//       verify_all() or any use of that device's session pointer: the
-//       registry hands out raw DeviceSession pointers that die with
+//       verify_all(), a scheduler run, or any use of that device's
+//       session pointer: the registry hands out raw DeviceSession
+//       pointers (and CfaBooks slots hold them) that die with
 //       decommission, together with the device's verifier books.
 //       Quiesce sweeps first. Likewise, lifecycle calls for the *same*
 //       id (deploy vs decommission) must be externally ordered -- a
 //       device cannot be retired while it is still being deployed. A
 //       redeploy of a decommissioned id is a new device: fresh
 //       verifier books and a new deployment sequence number, and the
-//       fleet-time schedulers (one CfaBooks walk each) re-adopt it with
+//       fleet-time schedulers (one CfaBooks sync each) re-adopt it with
 //       a fresh heartbeat record, no quarantine entry, a full heal
 //       budget and an empty window summary. A decommissioned id leaves
 //       every scheduler's books at that scheduler's next sync.
@@ -179,6 +180,8 @@ namespace eilid {
 
 class CampaignScheduler;
 class Fleet;
+template <typename T>
+struct CfaBooks;
 struct RolloutPlan;
 
 // Verifier half of the CFA baseline, fleet-wide: attests every
@@ -272,6 +275,8 @@ class VerifierService {
 
  private:
   friend class Fleet;
+  template <typename T>
+  friend struct CfaBooks;  // judges its slots' resolved targets
 
   // The verifier's books for one kCfaBaseline device, held in the
   // device's registry entry and guarded by its session mutex.
@@ -367,19 +372,6 @@ class Fleet {
   // valid until the corresponding device is decommissioned.
   std::vector<DeviceSession*> sessions() const;
 
-  // A kCfaBaseline device as the fleet-time schedulers track it.
-  struct CfaDevice {
-    DeviceSession* session = nullptr;
-    // Deployment sequence number (never 0): a decommissioned id that
-    // is deployed again comes back as a new device with a new number.
-    uint64_t deployed = 0;
-  };
-  // Snapshot of the kCfaBaseline devices -- the ones that emit
-  // evidence -- in device-id order. Pointers stay valid as above. The
-  // fleet-time schedulers keep their per-device state in CfaBooks
-  // synced against this snapshot.
-  std::vector<CfaDevice> cfa_devices() const;
-
   // --- update campaigns --------------------------------------------
   // Stage a secure update of fleet sessions onto `target` (normally a
   // build() result, so campaigns ride the same content-hash cache).
@@ -427,11 +419,13 @@ class Fleet {
 
  private:
   friend class VerifierService;  // reads and resolves registry entries
+  template <typename T>
+  friend struct CfaBooks;  // syncs against registry entries
 
   // One deployed device: the registry's only record of it.
   struct Entry {
     std::unique_ptr<DeviceSession> session;
-    uint64_t deployed = 0;  // deployment sequence number
+    uint64_t deployed = 0;  // deployment sequence number, never reused
     // kCfaBaseline only; guarded by session->mutex(), not devices_mu_.
     std::optional<VerifierService::Books> books;
   };
@@ -447,51 +441,72 @@ class Fleet {
   std::atomic<size_t> cache_hits_{0};
   std::atomic<size_t> pipeline_runs_{0};
 
-  mutable std::mutex devices_mu_;  // guards devices_ and next_deployed_
+  mutable std::mutex devices_mu_;  // guards devices_, writes next_deployed_
   std::map<std::string, Entry> devices_;  // in device-id order
-  uint64_t next_deployed_ = 1;
+  // The next deployment number, and the registry's version: deploy and
+  // decommission both advance it, so CfaBooks::sync can skip a no-op.
+  std::atomic<uint64_t> next_deployed_{1};
 
   FleetClock clock_;
   VerifierService verifier_{*this};
 };
 
 // The books a fleet-time scheduler keeps per kCfaBaseline device: one T
-// per device in device-id order, each slot tagged with the deployment
-// it belongs to. sync() is the schedulers' one adopt / renew / prune
-// walk, so every scheduler treats a redeployed id as a new device.
+// per device in device-id order, each slot holding the device's
+// resolved verifier target (session and verifier books) and deployment
+// number, so judging a slot needs no registry lookup. A slot's target
+// is valid until decommission, which must not race a run. sync() is the
+// schedulers' one adopt / renew / prune walk, so every scheduler treats
+// a redeployed id as a new device.
 template <typename T>
 struct CfaBooks {
   struct Slot {
-    Fleet::CfaDevice device;
+    VerifierService::Target target;
+    uint64_t deployed = 0;
     T value;
   };
   std::map<std::string, Slot> slots;  // keyed by device id
+  uint64_t version = 0;  // registry version the slots were synced at
 
-  // Merge-walk the slots against `devices`, an id-ordered
-  // Fleet::cfa_devices() snapshot: ids it no longer lists are pruned,
-  // and an id that is new -- or carries a new deployment number
-  // (decommissioned and deployed again) -- gets fresh(id).
+  // Merge-walk the slots against the registry's kCfaBaseline entries,
+  // unless the registry's version is the one last synced (no lock is
+  // taken then): ids it no longer lists are pruned, and an id that is
+  // new -- or carries a new deployment number (decommissioned and
+  // deployed again) -- gets fresh(id).
   template <typename Fresh>
-  void sync(const std::vector<Fleet::CfaDevice>& devices, Fresh&& fresh) {
+  void sync(Fleet& fleet, Fresh&& fresh) {
+    if (fleet.next_deployed_.load(std::memory_order_acquire) == version) {
+      return;
+    }
+    std::lock_guard<std::mutex> lock(fleet.devices_mu_);
+    version = fleet.next_deployed_.load(std::memory_order_relaxed);
     auto it = slots.begin();
-    for (const Fleet::CfaDevice& device : devices) {
+    for (auto& [id, entry] : fleet.devices_) {
+      if (!entry.books.has_value()) continue;
       // Deployment numbers are never reused, so a matching one is the
       // same device: the steady state compares no ids.
-      if (it != slots.end() && it->second.device.deployed == device.deployed) {
+      if (it != slots.end() && it->second.deployed == entry.deployed) {
         ++it;
         continue;
       }
-      const std::string& id = device.session->id();
       while (it != slots.end() && it->first < id) it = slots.erase(it);
       if (it == slots.end() || it->first != id) {
         it = slots.emplace_hint(it, id, Slot{});
       }
-      if (it->second.device.deployed != device.deployed) {
-        it->second = Slot{device, fresh(id)};
+      if (it->second.deployed != entry.deployed) {
+        it->second = Slot{{entry.session.get(), &*entry.books},
+                          entry.deployed, fresh(id)};
       }
       ++it;
     }
     slots.erase(it, slots.end());
+  }
+
+  // The verifier's one verdict body on a slot's device, draining at
+  // most `max_edges` edges (0 = everything).
+  static VerifierService::AttestResult judge(Fleet& fleet, const Slot& slot,
+                                             size_t max_edges = 0) {
+    return fleet.verifier().judge(slot.target, max_edges);
   }
 };
 

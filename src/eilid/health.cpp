@@ -41,11 +41,10 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
   // Only CFA devices emit announcements: devices deployed since the
   // last run (or deployed again) join with enrollment == now, and
   // decommissioned ids drop out (their session pointers are gone).
-  const std::vector<Fleet::CfaDevice> devices = fleet_->cfa_devices();
   {
     std::lock_guard<std::mutex> lock(mu_);
     const Tick now = clock.now();
-    books_.sync(devices, [&](const std::string& id) {
+    books_.sync(*fleet_, [&](const std::string& id) {
       Watched watched;
       watched.record.device_id = id;
       watched.record.enrolled_tick = now;
@@ -55,24 +54,25 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
   }
 
   // Fire beats in (tick, device-id) order: repeatedly find the earliest
-  // due tick <= deadline, advance the clock to it, and sweep every
+  // due tick <= deadline, advance the clock to it, and judge every
   // device due on exactly that tick. Map iteration gives id order for
-  // free within a beat.
+  // free within a beat. The slot pointers stay valid through the run:
+  // only sync() changes the books.
   for (;;) {
     Tick due = 0;
-    std::vector<DeviceSession*> due_devices;
+    std::vector<Books::Slot*> due_slots;
     {
       std::lock_guard<std::mutex> lock(mu_);
       bool found = false;
-      for (const auto& [id, slot] : books_.slots) {
+      for (auto& [id, slot] : books_.slots) {
         const Tick next_due = slot.value.record.next_due;
         if (next_due > deadline) continue;
         if (!found || next_due < due) {
           found = true;
           due = next_due;
-          due_devices.clear();
+          due_slots.clear();
         }
-        if (next_due == due) due_devices.push_back(slot.device.session);
+        if (next_due == due) due_slots.push_back(&slot);
       }
       if (!found) break;
     }
@@ -81,24 +81,27 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
     HeartbeatBeat beat;
     beat.tick = due;
 
-    std::vector<DeviceSession*> online;
-    for (DeviceSession* session : due_devices) {
-      if (session->online()) {
-        online.push_back(session);
+    std::vector<Books::Slot*> online;
+    std::vector<Books::Slot*> offline;
+    for (Books::Slot* slot : due_slots) {
+      if (slot->target.session->online()) {
+        online.push_back(slot);
       } else {
-        beat.missed.push_back(session->id());
+        offline.push_back(slot);
+        beat.missed.push_back(slot->target.session->id());
       }
     }
-    if (!online.empty()) {
-      beat.verdicts = pool == nullptr
-                          ? fleet_->verifier().verify_all(online)
-                          : fleet_->verifier().verify_all(online, *pool);
-    }
+    // Verdicts land by index, so the pooled beat is bit-identical to
+    // the serial one (each device's evidence and books are private).
+    beat.verdicts.resize(online.size());
+    common::for_each_index(pool, online.size(), [&](size_t i) {
+      beat.verdicts[i] = Books::judge(*fleet_, *online[i]);
+    });
 
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (const std::string& id : beat.missed) {
-        FreshnessRecord& record = books_.slots.at(id).value.record;
+      for (Books::Slot* slot : offline) {
+        FreshnessRecord& record = slot->value.record;
         ++record.misses;
         ++record.consecutive_misses;
         // Exponential backoff (see HeartbeatOptions): the k-th
@@ -110,9 +113,9 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
              uint32_t{48}});
         record.next_due += options_.period << exponent;
       }
-      for (const VerifierService::AttestResult& verdict : beat.verdicts) {
-        FreshnessRecord& record =
-            books_.slots.at(verdict.device_id).value.record;
+      for (size_t i = 0; i < online.size(); ++i) {
+        const VerifierService::AttestResult& verdict = beat.verdicts[i];
+        FreshnessRecord& record = online[i]->value.record;
         ++record.heartbeats;
         record.consecutive_misses = 0;  // evidence arrived: cadence snaps back
         record.last_attested_tick = due;
@@ -143,12 +146,6 @@ std::vector<FreshnessRecord> HeartbeatScheduler::records() const {
   out.reserve(books_.slots.size());
   for (const auto& [id, slot] : books_.slots) out.push_back(slot.value.record);
   return out;
-}
-
-FreshnessRecord HeartbeatScheduler::record(const std::string& device_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = books_.slots.find(device_id);
-  return it == books_.slots.end() ? FreshnessRecord{} : it->second.value.record;
 }
 
 void HeartbeatScheduler::note_remediated(FreshnessRecord& record, Tick tick) {
@@ -213,9 +210,10 @@ HealthReport HealthMonitor::run_until(Tick deadline,
   return run(deadline, &pool);
 }
 
-RemediationOutcome HealthMonitor::remediate_one(DeviceSession& session,
-                                                const QuarantineEntry& entry,
-                                                Tick now) {
+RemediationOutcome HealthMonitor::remediate_one(
+    const HeartbeatScheduler::Books::Slot& slot, Tick now) {
+  DeviceSession& session = *slot.target.session;
+  const QuarantineEntry& entry = *slot.value.quarantine;
   RemediationOutcome out;
   out.device_id = entry.device_id;
   out.reason = entry.reason;
@@ -241,7 +239,7 @@ RemediationOutcome HealthMonitor::remediate_one(DeviceSession& session,
   // by reflash() clears the verifier's replay stacks, so pre-reset
   // evidence (including what convicted the device) cannot taint this
   // verdict.
-  out.verdict = fleet_->verifier().attest(session);
+  out.verdict = HeartbeatScheduler::Books::judge(*fleet_, slot);
   out.healed = out.update.ok() && out.verdict.ok();
   return out;
 }
@@ -257,8 +255,7 @@ HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
   // quarantines, in id order, so the report is sorted too. The slot
   // pointers stay valid through this pass: only runs change the books,
   // and decommission must not race a run.
-  using Slot = CfaBooks<HeartbeatScheduler::Watched>::Slot;
-  std::vector<const Slot*> to_remediate;
+  std::vector<const HeartbeatScheduler::Books::Slot*> to_remediate;
   {
     std::lock_guard<std::mutex> lock(scheduler_.mu_);
     for (auto& [id, slot] : slots) {
@@ -285,9 +282,7 @@ HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
   // its own state alone; the clock does not advance mid-pass).
   report.remediations.resize(to_remediate.size());
   common::for_each_index(pool, to_remediate.size(), [&](size_t i) {
-    report.remediations[i] = remediate_one(
-        *to_remediate[i]->device.session, *to_remediate[i]->value.quarantine,
-        now);
+    report.remediations[i] = remediate_one(*to_remediate[i], now);
   });
 
   // Fold the outcomes back and escalate, in one id-ordered pass: a

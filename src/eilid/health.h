@@ -43,7 +43,7 @@
 //   // stale/convicted devices are already quarantined, reset,
 //   // re-updated and re-attested -- report says exactly what healed.
 //
-// Concurrency contract: run_until(pool) fans each beat's sweep and the
+// Concurrency contract: run_until(pool) fans each beat's verdicts and the
 // remediation pass out with the same per-device DeviceSession::mutex()
 // locking as VerifierService::verify_all and UpdateCampaign::apply_to;
 // its HealthReport is bit-identical to the serial run_until()'s, and
@@ -165,28 +165,26 @@ struct QuarantineEntry {
 };
 
 // Drives periodic attestation sweeps over the fleet's kCfaBaseline
-// devices (Fleet::cfa_devices(); other devices emit no announcements
-// and are not judged). Each run_until syncs its CfaBooks against that
-// id-ordered list: devices deployed since the last run join with a
-// fresh record, decommissioned devices are pruned, and an id that was
-// decommissioned and deployed again restarts with a fresh record
-// (decommission must not race a run, per the fleet contract).
+// devices (other devices emit no announcements and are not judged).
+// Each run_until syncs its CfaBooks with the registry: devices deployed
+// since the last run join with a fresh record, decommissioned devices
+// are pruned, and an id that was decommissioned and deployed again
+// restarts with a fresh record. A slot's verifier target is valid until
+// decommission, which must not race a run (the fleet contract).
 class HeartbeatScheduler {
  public:
   explicit HeartbeatScheduler(Fleet& fleet, HeartbeatOptions options = {});
 
   // Advance fleet time to `deadline`, firing every due heartbeat on the
-  // way in deterministic (tick, device-id) order. Each beat sweeps the
-  // online due devices via the verifier's subset sweep (per-device
-  // locking; the pooled overload fans the sweep out and returns a
-  // bit-identical report) and updates the freshness records.
+  // way in deterministic (tick, device-id) order. Each beat judges the
+  // online due devices in id order, as a verifier subset sweep would
+  // (per-device locking; the pooled overload fans the verdicts out and
+  // returns a bit-identical report), and updates the freshness records.
   HeartbeatReport run_until(Tick deadline);
   HeartbeatReport run_until(Tick deadline, common::ThreadPool& pool);
 
   // Snapshot of every watched device's record, sorted by device id.
   std::vector<FreshnessRecord> records() const;
-  // One device's record (value-initialized when unwatched).
-  FreshnessRecord record(const std::string& device_id) const;
 
   const HeartbeatOptions& options() const { return options_; }
 
@@ -212,11 +210,12 @@ class HeartbeatScheduler {
     // heal -> re-convict forever-loop (HealthPolicy::max_heal_attempts).
     uint32_t heal_attempts = 0;
   };
+  using Books = CfaBooks<Watched>;
 
   Fleet* fleet_;
   HeartbeatOptions options_;
   mutable std::mutex mu_;  // guards books_
-  CfaBooks<Watched> books_;
+  Books books_;
 };
 
 struct HealthPolicy {
@@ -301,8 +300,8 @@ class HealthMonitor {
 
  private:
   HealthReport run(Tick deadline, common::ThreadPool* pool);
-  RemediationOutcome remediate_one(DeviceSession& session,
-                                   const QuarantineEntry& entry, Tick now);
+  RemediationOutcome remediate_one(const HeartbeatScheduler::Books::Slot& slot,
+                                   Tick now);
 
   Fleet* fleet_;
   HealthOptions options_;

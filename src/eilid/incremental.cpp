@@ -67,13 +67,13 @@ IncrementalVerifier::WindowReport IncrementalVerifier::run(
     Round round;
     round.tick = next_round_;
 
-    // Sync the books with the registry's CFA devices each round:
+    // Sync the books with the registry's CFA devices each round (a
+    // no-op unless a deploy or decommission moved the registry):
     // deployments mid-window join the rotation, decommissioned ids drop
     // out with their summaries, and a redeployed id starts a fresh one.
-    const std::vector<Fleet::CfaDevice> devices = fleet_->cfa_devices();
     {
       std::lock_guard<std::mutex> lock(mu_);
-      books_.sync(devices, [](const std::string&) { return AttestSummary{}; });
+      books_.sync(*fleet_, [](const std::string&) { return AttestSummary{}; });
     }
 
     // Resume the cyclic id-order walk strictly after the cursor. The
@@ -84,24 +84,23 @@ IncrementalVerifier::WindowReport IncrementalVerifier::run(
     const size_t budget = options_.max_devices_per_tick == 0
                               ? slots.size()
                               : options_.max_devices_per_tick;
-    std::vector<CfaBooks<AttestSummary>::Slot*> picked;
+    std::vector<Books::Slot*> picked;
     auto it = slots.upper_bound(cursor_);
     for (size_t examined = 0;
          examined < slots.size() && picked.size() < budget; ++examined) {
       if (it == slots.end()) it = slots.begin();
       cursor_ = it->first;
-      if (it->second.device.session->online()) picked.push_back(&it->second);
+      if (it->second.target.session->online()) picked.push_back(&it->second);
       ++it;
     }
 
     // Slices land by rotation index: pooled workers interleave but the
     // round -- and every fold below -- is bit-identical to the serial
-    // one (per-device evidence and replay state are private; attest
-    // takes the device's own lock).
+    // one (per-device evidence and replay state are private; each
+    // verdict takes the device's own lock).
     round.slices.resize(picked.size());
     common::for_each_index(pool, picked.size(), [&](size_t i) {
-      round.slices[i] = fleet_->verifier().attest(*picked[i]->device.session,
-                                                  max_edges_per_slice_);
+      round.slices[i] = Books::judge(*fleet_, *picked[i], max_edges_per_slice_);
     });
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -127,13 +126,6 @@ std::vector<AttestSummary> IncrementalVerifier::summaries() const {
     if (!slot.value.device_id.empty()) out.push_back(slot.value);
   }
   return out;
-}
-
-AttestSummary IncrementalVerifier::summary(
-    const std::string& device_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = books_.slots.find(device_id);
-  return it == books_.slots.end() ? AttestSummary{} : it->second.value;
 }
 
 }  // namespace eilid

@@ -34,8 +34,7 @@
 // is bit-identical to the serial one (slices are written by round
 // index; each device's evidence and replay state are private to it).
 // Like the other schedulers, the object itself is single-driver: one
-// run_until at a time, though summaries()/summary() may be read
-// concurrently.
+// run_until at a time, though summaries() may be read concurrently.
 #ifndef EILID_EILID_INCREMENTAL_H
 #define EILID_EILID_INCREMENTAL_H
 
@@ -111,19 +110,19 @@ class IncrementalVerifier {
   };
 
   // Rotates over the fleet's kCfaBaseline devices: every round syncs
-  // the verifier's CfaBooks with Fleet::cfa_devices(), so devices
-  // deployed later join on that round, decommissioned devices leave the
-  // rotation and their summaries are pruned with them, and an id
-  // decommissioned and deployed again folds into a fresh summary
-  // (decommission must not race a run, per the fleet contract). Throws
-  // eilid::FleetError on period == 0.
+  // the verifier's CfaBooks with the registry, so devices deployed later
+  // join on that round, decommissioned devices leave the rotation and
+  // their summaries are pruned with them, and an id decommissioned and
+  // deployed again folds into a fresh summary. A slot's verifier target
+  // is valid until decommission, which must not race a run (the fleet
+  // contract). Throws eilid::FleetError on period == 0.
   explicit IncrementalVerifier(Fleet& fleet, IncrementalOptions options = {});
 
   // Advance fleet time to `deadline`, firing a round every `period`
   // ticks on the way: rotate to the next max_devices_per_tick online
-  // devices, drain at most max_bytes_per_slice from each
-  // (VerifierService::attest(session, max_edges) -- the same verdict
-  // body, per-device locks and replay state as the barrier sweeps),
+  // devices, drain at most max_bytes_per_slice from each (the same
+  // verdict body, per-device locks and replay state as the barrier
+  // sweeps and VerifierService::attest(session, max_edges)),
   // and fold every verdict into the per-device summaries. The pooled
   // overload returns a bit-identical report. If another scheduler
   // advanced the clock past the pending round between calls, the
@@ -133,11 +132,9 @@ class IncrementalVerifier {
   WindowReport run_until(Tick deadline, common::ThreadPool& pool);
 
   // Folded summaries of the watched devices the rotation has reached,
-  // sorted by device id / for one device (value-initialized when the
-  // rotation never reached it). A decommissioned device's summary is
-  // pruned at the next round.
+  // sorted by device id. A decommissioned device's summary is pruned at
+  // the next round.
   std::vector<AttestSummary> summaries() const;
-  AttestSummary summary(const std::string& device_id) const;
 
   const IncrementalOptions& options() const { return options_; }
 
@@ -153,7 +150,8 @@ class IncrementalVerifier {
   // Only run() changes the books; it takes mu_ to do so, and so do
   // the concurrent readers.
   mutable std::mutex mu_;
-  CfaBooks<AttestSummary> books_;
+  using Books = CfaBooks<AttestSummary>;
+  Books books_;
   // Rotation state: the id the last round stopped at (next round
   // resumes strictly after it, wrapping), and the next due tick.
   std::string cursor_;

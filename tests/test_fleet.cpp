@@ -10,6 +10,7 @@
 #include "cfa/cfg.h"
 #include "common/error.h"
 #include "eilid/fleet.h"
+#include "eilid/health.h"
 #include "sim/monitor.h"
 
 namespace eilid {
@@ -101,10 +102,10 @@ TEST(FleetRegistry, UnknownIdAndDecommission) {
   EXPECT_EQ(fleet.find("ghost"), nullptr);
   EXPECT_THROW(fleet.at("ghost"), FleetError);
   fleet.provision("gone", kTinyApp, "tiny", EnforcementPolicy::kCfaBaseline);
-  EXPECT_EQ(fleet.cfa_devices().size(), 1u);
+  EXPECT_EQ(fleet.size(), 1u);
   fleet.decommission("gone");
   EXPECT_EQ(fleet.size(), 0u);
-  EXPECT_TRUE(fleet.cfa_devices().empty());
+  EXPECT_TRUE(fleet.sessions().empty());
 }
 
 TEST(FleetRegistry, EilidPolicyRejectsPlainBuild) {
@@ -135,7 +136,6 @@ TEST(FleetRegistry, FailedDeployLeavesNoTrace) {
   EXPECT_EQ(fleet.find("clash"), nullptr);
   EXPECT_EQ(fleet.size(), 0u);
   EXPECT_TRUE(fleet.sessions().empty());
-  EXPECT_TRUE(fleet.cfa_devices().empty());
   EXPECT_TRUE(fleet.verifier().verify_all().empty());
 
   // The id is still free: a deploy with a CFG succeeds.
@@ -176,11 +176,16 @@ TEST(FleetRegistry, SessionsKeepDeploymentOrder) {
   }
   EXPECT_EQ(ids(), (std::vector<std::string>{"z", "a", "m"}));
   // The schedulers' view of the same devices is in id order.
-  std::vector<std::string> by_id;
-  for (const Fleet::CfaDevice& device : fleet.cfa_devices()) {
-    by_id.push_back(device.session->id());
-  }
-  EXPECT_EQ(by_id, (std::vector<std::string>{"a", "m", "z"}));
+  HeartbeatScheduler scheduler(fleet);
+  auto watched = [&] {
+    scheduler.run_until(fleet.clock().now());
+    std::vector<std::string> out;
+    for (const FreshnessRecord& record : scheduler.records()) {
+      out.push_back(record.device_id);
+    }
+    return out;
+  };
+  EXPECT_EQ(watched(), (std::vector<std::string>{"a", "m", "z"}));
 
   fleet.decommission("a");
   EXPECT_EQ(ids(), (std::vector<std::string>{"z", "m"}));
@@ -188,7 +193,8 @@ TEST(FleetRegistry, SessionsKeepDeploymentOrder) {
   fleet.deploy("a", build, EnforcementPolicy::kCfaBaseline);
   EXPECT_EQ(ids(), (std::vector<std::string>{"z", "m", "b", "a"}));
   EXPECT_EQ(fleet.size(), 4u);
-  EXPECT_EQ(fleet.cfa_devices().size(), 3u);  // "b" is kCasu
+  // "b" is kCasu: registered, never watched.
+  EXPECT_EQ(watched(), (std::vector<std::string>{"a", "m", "z"}));
 }
 
 // A decommissioned id that is deployed again is a new device: its
@@ -218,12 +224,10 @@ TEST(FleetRegistry, RedeployStartsFreshBooks) {
   first.run_to_symbol("halt", app.cycle_budget);
   EXPECT_FALSE(fleet.verifier().attest(first).path_ok);
   EXPECT_EQ(fleet.verifier().attest(first).seq, 1u);
-  const auto first_deployed = fleet.cfa_devices().at(0).deployed;
   fleet.decommission("dev");
-  EXPECT_TRUE(fleet.cfa_devices().empty());
+  EXPECT_EQ(fleet.size(), 0u);
 
   DeviceSession& again = boot(fleet);
-  EXPECT_NE(fleet.cfa_devices().at(0).deployed, first_deployed);
   VerifierService::AttestResult verdict = fleet.verifier().attest(again);
 
   // Oracle: the same device deployed once into a fresh fleet.
@@ -351,9 +355,11 @@ TEST(FleetPolicies, AttestingNonCfaSessionReportsUnattested) {
   EXPECT_FALSE(verdict.seq_ok);
   EXPECT_FALSE(verdict.path_ok);
   EXPECT_FALSE(verdict.ok());
-  // The non-CFA device is not one the sweeps judge.
-  EXPECT_TRUE(fleet.cfa_devices().empty());
+  // The non-CFA device is not one the sweeps or schedulers judge.
   EXPECT_TRUE(fleet.verifier().verify_all().empty());
+  HeartbeatScheduler scheduler(fleet);
+  scheduler.run_until(0);
+  EXPECT_TRUE(scheduler.records().empty());
 }
 
 // --------------------------------------------------------- build CFG
@@ -420,7 +426,7 @@ TEST(BuildResultCfg, EnrollingBuildWithoutCfgThrowsTyped) {
 
   DeviceSession standalone("no-cfg", build, EnforcementPolicy::kCfaBaseline);
   EXPECT_THROW(fleet.verifier().attest(standalone), FleetError);
-  EXPECT_TRUE(fleet.cfa_devices().empty());
+  EXPECT_TRUE(fleet.sessions().empty());
 }
 
 // ----------------------------------------------------- verifier service

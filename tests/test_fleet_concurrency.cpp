@@ -130,7 +130,9 @@ TEST(FleetConcurrency, ConcurrentDuplicateDeployOneWinner) {
   });
   EXPECT_EQ(rejected.load(), 7u);
   EXPECT_EQ(fleet.size(), 1u);
-  EXPECT_EQ(fleet.cfa_devices().size(), 1u);
+  HeartbeatScheduler scheduler(fleet);
+  scheduler.run_until(0);
+  EXPECT_EQ(scheduler.records().size(), 1u);
 }
 
 // --------------------------------------------------------- attestation
@@ -699,7 +701,11 @@ TEST(FleetConcurrency, DeploysRaceHeartbeatAndWindowRounds) {
 
   const size_t cfa_total = 4 + kDeploys - kDeploys / 4;
   EXPECT_EQ(fleet.size(), 4 + kDeploys);
-  EXPECT_EQ(fleet.cfa_devices().size(), cfa_total);
+  const std::vector<DeviceSession*> sessions = fleet.sessions();
+  EXPECT_EQ(static_cast<size_t>(std::count_if(
+                sessions.begin(), sessions.end(),
+                [](DeviceSession* s) { return s->cfa_monitor() != nullptr; })),
+            cfa_total);
   EXPECT_EQ(heartbeat.records().size(), cfa_total);
   EXPECT_EQ(windowed.summaries().size(), cfa_total);
 }

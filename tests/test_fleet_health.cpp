@@ -51,6 +51,16 @@ std::string device_id(size_t i) {
   return "dev-" + std::string(n.size() < 2 ? 2 - n.size() : 0, '0') + n;
 }
 
+// The entry for `id` in a records() / summaries() snapshot
+// (value-initialized when the snapshot has none).
+template <typename Entry>
+Entry entry_for(const std::vector<Entry>& entries, const std::string& id) {
+  for (const Entry& entry : entries) {
+    if (entry.device_id == id) return entry;
+  }
+  return Entry{};
+}
+
 // N CFA-baseline devices on firmware(0), each run to halt so the first
 // sweep has evidence to judge.
 void provision_fleet(Fleet& fleet, size_t devices) {
@@ -187,7 +197,7 @@ TEST(HeartbeatTest, OfflineDevicesRecordMissesNotVerdicts) {
     EXPECT_EQ(beat.verdicts.size(), 2u);
     EXPECT_EQ(beat.missed, std::vector<std::string>{device_id(1)});
   }
-  const FreshnessRecord down = scheduler.record(device_id(1));
+  const FreshnessRecord down = entry_for(scheduler.records(), device_id(1));
   EXPECT_EQ(down.misses, 4u);
   EXPECT_EQ(down.heartbeats, 0u);
   EXPECT_FALSE(down.ever_attested);
@@ -457,8 +467,10 @@ TEST(SelfHealingTest, ConvictionLatchesAcrossLaterCleanBeatsInOnePass) {
             << verdict.device_id << " @ " << beat.tick;
       }
     }
-    EXPECT_TRUE(health.scheduler().record(device_id(1)).convicted);
-    EXPECT_EQ(health.scheduler().record(device_id(1)).last_ok_tick, 300u);
+    const FreshnessRecord record =
+        entry_for(health.scheduler().records(), device_id(1));
+    EXPECT_TRUE(record.convicted);
+    EXPECT_EQ(record.last_ok_tick, 300u);
     return std::make_pair(std::move(report), health.quarantined());
   };
   const auto serial = run(false);
@@ -605,7 +617,8 @@ TEST(EscalationTest, RedeployedIdStartsWithFreshQuarantineAndHealBudget) {
   redeploy(device_id(0));
   report = health.run_until(40);
   EXPECT_TRUE(report.newly_quarantined.empty());
-  const FreshnessRecord record = health.scheduler().record(device_id(0));
+  const FreshnessRecord record =
+      entry_for(health.scheduler().records(), device_id(0));
   EXPECT_EQ(record.enrolled_tick, 20u);
   EXPECT_FALSE(record.convicted);
   ASSERT_EQ(health.quarantined().size(), 1u);

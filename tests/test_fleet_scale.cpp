@@ -62,6 +62,16 @@ std::string device_id(size_t i) {
   return "dev-" + std::string(n.size() < 2 ? 2 - n.size() : 0, '0') + n;
 }
 
+// The entry for `id` in a records() / summaries() snapshot
+// (value-initialized when the snapshot has none).
+template <typename Entry>
+Entry entry_for(const std::vector<Entry>& entries, const std::string& id) {
+  for (const Entry& entry : entries) {
+    if (entry.device_id == id) return entry;
+  }
+  return Entry{};
+}
+
 // The mixed fleet's policy per device: among kCfaBaseline devices, one
 // in eight each runs kCasu, kNone and kEilidHw.
 EnforcementPolicy mixed_policy(size_t i) {
@@ -581,9 +591,10 @@ TEST(IncrementalVerifierTest, RotationCoversEveryDeviceAndSkipsOffline) {
   for (const auto& round : report.rounds) {
     EXPECT_LE(round.slices.size(), 2u);
   }
-  EXPECT_EQ(windowed.summary(device_id(2)), AttestSummary{});
+  EXPECT_EQ(entry_for(windowed.summaries(), device_id(2)), AttestSummary{});
   for (size_t i : {0u, 1u, 3u, 4u}) {
-    EXPECT_GT(windowed.summary(device_id(i)).edges, 0u) << device_id(i);
+    EXPECT_GT(entry_for(windowed.summaries(), device_id(i)).edges, 0u)
+        << device_id(i);
   }
   // The offline device's log is untouched, waiting for its return.
   EXPECT_GT(fleet.at(device_id(2)).cfa_monitor()->log_size(), 0u);
@@ -606,9 +617,9 @@ TEST(IncrementalVerifierTest, RedeployedIdRestartsHeartbeatAndWindowRecords) {
   heartbeat.run_until(50);
   diverge_out_of_band(fleet, device_id(1));
   windowed.run_until(100);
-  ASSERT_TRUE(heartbeat.record(device_id(1)).convicted);
-  ASSERT_EQ(heartbeat.record(device_id(1)).heartbeats, 5u);
-  ASSERT_TRUE(windowed.summary(device_id(1)).convicted());
+  ASSERT_TRUE(entry_for(heartbeat.records(), device_id(1)).convicted);
+  ASSERT_EQ(entry_for(heartbeat.records(), device_id(1)).heartbeats, 5u);
+  ASSERT_TRUE(entry_for(windowed.summaries(), device_id(1)).convicted());
 
   fleet.decommission(device_id(1));
   DeviceSession& again =
@@ -621,21 +632,21 @@ TEST(IncrementalVerifierTest, RedeployedIdRestartsHeartbeatAndWindowRecords) {
 
   // Rounds at 110..150 drain the new device's boot evidence clean.
   windowed.run_until(150);
-  const AttestSummary fresh = windowed.summary(device_id(1));
+  const AttestSummary fresh = entry_for(windowed.summaries(), device_id(1));
   EXPECT_FALSE(fresh.convicted());
   EXPECT_EQ(fresh.edges, boot_edges);
   EXPECT_EQ(fresh.device_id, device_id(1));
 
   // Re-adopted at tick 150: beats at 160..200 only.
   heartbeat.run_until(200);
-  const FreshnessRecord record = heartbeat.record(device_id(1));
+  const FreshnessRecord record = entry_for(heartbeat.records(), device_id(1));
   EXPECT_FALSE(record.convicted);
   EXPECT_EQ(record.enrolled_tick, 150u);
   EXPECT_EQ(record.heartbeats, 5u);
   EXPECT_EQ(record.last_ok_tick, 200u);
   // The devices that stayed keep their history.
-  EXPECT_EQ(heartbeat.record(device_id(0)).heartbeats, 20u);
-  EXPECT_EQ(heartbeat.record(device_id(0)).enrolled_tick, 0u);
+  EXPECT_EQ(entry_for(heartbeat.records(), device_id(0)).heartbeats, 20u);
+  EXPECT_EQ(entry_for(heartbeat.records(), device_id(0)).enrolled_tick, 0u);
   EXPECT_EQ(heartbeat.records().size(), 3u);
 
   // A decommissioned id that is not deployed again leaves both
@@ -660,13 +671,27 @@ TEST(IncrementalVerifierTest, RedeployedIdRestartsHeartbeatAndWindowRecords) {
     fleet.provision(id, firmware(0), "fw", EnforcementPolicy::kCfaBaseline)
         .run_to_symbol("halt", 100000);
     windowed.run_until(fleet.clock().now() + 10);
-    EXPECT_EQ(windowed.summary(id).device_id, id);
+    EXPECT_EQ(entry_for(windowed.summaries(), id).device_id, id);
     fleet.decommission(id);
   }
   windowed.run_until(fleet.clock().now() + 10);
   heartbeat.run_until(fleet.clock().now());
   EXPECT_TRUE(windowed.summaries().empty());
   EXPECT_TRUE(heartbeat.records().empty());
+
+  // A late deploy with no decommission since both schedulers last ran
+  // joins the next window round and the next heartbeat run.
+  DeviceSession& late = fleet.provision("late", firmware(0), "fw",
+                                        EnforcementPolicy::kCfaBaseline);
+  late.run_to_symbol("halt", 100000);
+  const size_t late_edges = late.cfa_monitor()->log_size();
+  windowed.run_until(fleet.clock().now() + 10);
+  heartbeat.run_until(fleet.clock().now());
+  EXPECT_EQ(ids(windowed.summaries()), std::vector<std::string>{"late"});
+  EXPECT_EQ(entry_for(windowed.summaries(), "late").edges, late_edges);
+  EXPECT_EQ(ids(heartbeat.records()), std::vector<std::string>{"late"});
+  EXPECT_EQ(entry_for(heartbeat.records(), "late").enrolled_tick,
+            fleet.clock().now());
 }
 
 // ------------------------------------------------- heartbeat backoff
@@ -680,13 +705,13 @@ TEST(HeartbeatBackoffTest, UnreachableDevicesBackOffExponentially) {
   // dev-00 beats every 10 ticks. dev-01 misses back off: due at 10,
   // then +20, +40, +80, then capped at +80.
   scheduler.run_until(400);
-  const FreshnessRecord offline = scheduler.record(device_id(1));
+  const FreshnessRecord offline = entry_for(scheduler.records(), device_id(1));
   EXPECT_EQ(offline.misses, offline.consecutive_misses);
   // Misses at t = 10, 30, 70, 150, 230, 310, 390 -> 7 in 400 ticks;
   // without backoff it would be 40.
   EXPECT_EQ(offline.misses, 7u);
   EXPECT_EQ(offline.next_due, 470u);
-  const FreshnessRecord online = scheduler.record(device_id(0));
+  const FreshnessRecord online = entry_for(scheduler.records(), device_id(0));
   EXPECT_EQ(online.heartbeats, 40u);
   EXPECT_EQ(online.consecutive_misses, 0u);
 
@@ -694,7 +719,7 @@ TEST(HeartbeatBackoffTest, UnreachableDevicesBackOffExponentially) {
   // base period.
   fleet.at(device_id(1)).set_online(true);
   scheduler.run_until(475);
-  const FreshnessRecord back = scheduler.record(device_id(1));
+  const FreshnessRecord back = entry_for(scheduler.records(), device_id(1));
   EXPECT_EQ(back.consecutive_misses, 0u);
   EXPECT_EQ(back.next_due, 480u);
   EXPECT_EQ(back.heartbeats, 1u);
