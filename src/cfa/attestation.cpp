@@ -1,5 +1,7 @@
 #include "cfa/attestation.h"
 
+#include <algorithm>
+
 namespace eilid::cfa {
 
 LoggedEdge* CfaMonitor::grow_chunk() {
@@ -12,18 +14,25 @@ LoggedEdge* CfaMonitor::grow_chunk() {
   return chunks_.back().get();
 }
 
-void CfaMonitor::log_edge(LoggedEdge edge) {
-  ++total_edges_;
-  if (count_ >= config_.log_capacity) {
-    ++dropped_;  // the paper's "voluminous logs" problem, made visible
-    return;
+void CfaMonitor::log_edges(LoggedEdge edge, uint32_t count) {
+  total_edges_ += count;
+  const size_t room =
+      count_ < config_.log_capacity ? config_.log_capacity - count_ : 0;
+  size_t kept = std::min<size_t>(count, room);
+  // The paper's "voluminous logs" problem, made visible.
+  dropped_ += static_cast<uint32_t>(count - kept);
+  size_t pos = head_ + count_;
+  count_ += kept;
+  while (kept > 0) {
+    const size_t chunk = pos / kChunkEdges;
+    LoggedEdge* slab =
+        chunk < chunks_.size() ? chunks_[chunk].get() : grow_chunk();
+    const size_t offset = pos % kChunkEdges;
+    const size_t n = std::min(kept, kChunkEdges - offset);
+    std::fill_n(slab + offset, n, edge);
+    pos += n;
+    kept -= n;
   }
-  const size_t pos = head_ + count_;
-  const size_t chunk = pos / kChunkEdges;
-  LoggedEdge* slab =
-      chunk < chunks_.size() ? chunks_[chunk].get() : grow_chunk();
-  slab[pos % kChunkEdges] = edge;
-  ++count_;
 }
 
 void CfaMonitor::on_control_transfer(uint16_t from_pc, uint16_t to_pc,
@@ -34,6 +43,12 @@ void CfaMonitor::on_control_transfer(uint16_t from_pc, uint16_t to_pc,
   // fallthrough == from_pc == to_pc and are never reported here.)
   (void)fallthrough;
   log_edge({from_pc, to_pc, false});
+}
+
+void CfaMonitor::on_repeated_transfer(uint16_t from_pc, uint16_t to_pc,
+                                      uint16_t fallthrough, uint32_t count) {
+  (void)fallthrough;
+  log_edges({from_pc, to_pc, false}, count);
 }
 
 void CfaMonitor::on_interrupt(int vector_index, uint16_t from_pc,

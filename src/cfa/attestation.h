@@ -70,6 +70,10 @@ class CfaMonitor : public sim::Monitor {
   bool wants_step() const override { return false; }
   void on_control_transfer(uint16_t from_pc, uint16_t to_pc,
                            uint16_t fallthrough) override;
+  // A skipped counted delay loop's k identical edges, appended in bulk
+  // under the same full-log rule as a single edge.
+  void on_repeated_transfer(uint16_t from_pc, uint16_t to_pc,
+                            uint16_t fallthrough, uint32_t count) override;
   void on_interrupt(int vector_index, uint16_t from_pc, uint16_t to_pc) override;
   void on_device_reset() override;
 
@@ -121,7 +125,11 @@ class CfaMonitor : public sim::Monitor {
   // vector from scratch every attestation period).
   static constexpr size_t kChunkEdges = 256;
 
-  void log_edge(LoggedEdge edge);
+  // The one full-log rule: append `count` copies of `edge` while the
+  // log holds fewer than log_capacity edges, count the rest in
+  // dropped_, and count all of them in total_edges_.
+  void log_edges(LoggedEdge edge, uint32_t count);
+  void log_edge(LoggedEdge edge) { log_edges(edge, 1); }
   LoggedEdge* grow_chunk();
 
   crypto::Digest key_;

@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace eilid::crypto {
@@ -32,14 +33,25 @@ void Sha256::reset() {
 }
 
 void Sha256::update(std::span<const uint8_t> data) {
+  if (data.empty()) return;  // data() may be null: no memcpy from it
   total_bits_ += static_cast<uint64_t>(data.size()) * 8;
-  for (uint8_t byte : data) {
-    buffer_[buffer_len_++] = byte;
-    if (buffer_len_ == kBlockSize) {
-      compress(buffer_.data());
-      buffer_len_ = 0;
-    }
+  const uint8_t* in = data.data();
+  size_t len = data.size();
+  // Top up a partly filled block first; whole blocks then go straight
+  // from the input to compress(), and only the tail is buffered.
+  if (buffer_len_ != 0) {
+    const size_t take = std::min(len, kBlockSize - buffer_len_);
+    std::memcpy(buffer_.data() + buffer_len_, in, take);
+    buffer_len_ += take;
+    in += take;
+    len -= take;
+    if (buffer_len_ < kBlockSize) return;
+    compress(buffer_.data());
+    buffer_len_ = 0;
   }
+  for (; len >= kBlockSize; in += kBlockSize, len -= kBlockSize) compress(in);
+  if (len != 0) std::memcpy(buffer_.data(), in, len);
+  buffer_len_ = len;
 }
 
 void Sha256::update(std::string_view text) {
@@ -48,20 +60,20 @@ void Sha256::update(std::string_view text) {
 }
 
 Digest Sha256::finish() {
-  // Padding: 0x80, zeros, 64-bit big-endian bit length.
-  uint64_t bits = total_bits_;
-  uint8_t pad = 0x80;
-  update(std::span<const uint8_t>(&pad, 1));
-  uint8_t zero = 0;
-  while (buffer_len_ != kBlockSize - 8) {
-    // update() adjusts total_bits_, but padding must not count; fix below.
-    buffer_[buffer_len_++] = zero;
-    if (buffer_len_ == kBlockSize) {
-      compress(buffer_.data());
-      buffer_len_ = 0;
-    }
+  // Padding: 0x80, zeros, 64-bit big-endian bit length. The length
+  // needs the last 8 bytes of a block; when the 0x80 leaves less room
+  // than that, the zeros run on through one more block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    compress(buffer_.data());
+    buffer_len_ = 0;
   }
-  for (int i = 7; i >= 0; --i) buffer_[buffer_len_++] = static_cast<uint8_t>(bits >> (i * 8));
+  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[kBlockSize - 1 - static_cast<size_t>(i)] =
+        static_cast<uint8_t>(total_bits_ >> (i * 8));
+  }
   compress(buffer_.data());
 
   Digest out{};

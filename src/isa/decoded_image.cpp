@@ -40,6 +40,14 @@ bool writes_status_register(const Instruction& insn) {
 
 namespace {
 
+// `dec rN` on a general-purpose register: word-mode `sub #1, rN` with
+// rN in r4-r15 (r0-r3 are PC, SP, SR and the constant generator).
+bool is_register_decrement(const Instruction& insn) {
+  return insn.op == Opcode::kSub && !insn.byte_mode &&
+         insn.src.mode == AddrMode::kImmediate && insn.src.value == 1 &&
+         insn.dst.mode == AddrMode::kRegister && insn.dst.reg >= 4;
+}
+
 // Backward pass over one decoded range: each slot's run is its own
 // instruction plus the run of its fall-through slot, unless the
 // instruction is itself a hazard or the fall-through leaves the range.
@@ -79,6 +87,9 @@ void fill_block_suffixes(DecodedImage::RangeTable& table) {
     e.block_cycles = static_cast<uint16_t>(e.cycles + succ.block_cycles);
     e.target = succ.target;
     e.end = succ.end;
+    // A jnz successor is the block's terminator, so its target is ours.
+    e.counted_loop = succ.insn.op == Opcode::kJnz && e.target == pc &&
+                     is_register_decrement(e.insn);
   }
 }
 

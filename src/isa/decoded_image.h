@@ -20,6 +20,10 @@
 // over every PC the hardware could ever reach, including ones static
 // analysis never names).
 //
+// A block that is exactly `dec rN; jnz <itself>` is additionally
+// marked Entry::counted_loop, so the block core can retire many of its
+// iterations at once instead of dispatching each one.
+//
 // Hazards that end a block (BlockEnd):
 //   - kTransfer: the terminator may set PC non-sequentially (jumps,
 //     call/reti, PC-destination ALU ops). Executed as part of the
@@ -86,6 +90,12 @@ class DecodedImage {
     // terminator kind, whose successor is the fall-through).
     uint16_t target = 0;
     BlockEnd end = BlockEnd::kNone;
+    // This slot's block is a counted delay loop: a word-mode
+    // `sub #1, rN` (`dec rN`, rN in r4-r15) followed by a `jnz` back
+    // to it, and nothing else. The block core retires such a loop's
+    // iterations in bulk (Cpu::run_block); the flag only names the
+    // shape, every bound on the skip is checked at run time.
+    bool counted_loop = false;
   };
 
   // Inclusive code region to predecode; `first`/`last` must be even.

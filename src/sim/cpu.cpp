@@ -1,5 +1,7 @@
 #include "sim/cpu.h"
 
+#include <algorithm>
+
 #include "isa/cycles.h"
 
 namespace eilid::sim {
@@ -437,6 +439,15 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
   // (against the terminator that crossed). Within a range no region
   // rule can trip -- see BusWatcher::on_fetch.
   bool fetched = bus_.notify_fetch(pc, prev_fetch_pc_);
+  // A counted loop's skipped iterations are steps of this run (decode
+  // hits, BlockRun::steps) and spend its budget like chained ones.
+  auto skip_loop = [&] {
+    const uint32_t k = skip_counted_loop(*entry, pc, breakpoint_pc, spent,
+                                         cycle_budget, transfer_monitors);
+    spent += uint64_t{k} * entry->block_cycles;
+    steps += 2 * k;
+  };
+  if (fetched && entry->counted_loop) skip_loop();
   for (;;) {
     if (!fetched) {
       // Same contract as step(): nothing retires, no cycles, monitors
@@ -512,6 +523,7 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
       ++blocks_executed_;
       remaining = entry->span;
       if (crossed) fetched = bus_.notify_fetch(pc, last_pc);
+      if (fetched && entry->counted_loop) skip_loop();
       continue;
     }
     // Interior instructions are sequential by construction (no control
@@ -536,6 +548,44 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
   // reset, run exit), so back-to-back blocks pay zero virtual tick
   // calls in between.
   return out;
+}
+
+uint32_t Cpu::skip_counted_loop(const isa::DecodedImage::Entry& loop,
+                                uint16_t pc, uint16_t breakpoint_pc,
+                                uint64_t spent, uint64_t cycle_budget,
+                                std::span<Monitor* const> transfer_monitors) {
+  const isa::DecodedImage::Entry& jnz = (&loop)[loop.size_words];
+  const uint16_t jnz_pc = loop.next_address;
+  // A breakpoint on the head already stopped the run before this
+  // commit; one on the `jnz` must stop it inside the first iteration.
+  if (breakpoint_pc == jnz_pc) return 0;
+  const uint64_t per_iteration = loop.block_cycles;
+  uint16_t& counter = regs_[loop.insn.dst.reg];
+  // Iterations left, this one included, are the counter's value (65536
+  // when it is 0: the decrement wraps); the last one runs for real.
+  uint64_t k = counter == 0 ? 0xFFFF : counter - 1u;
+  // The chain stops at the first terminator that brings spent up to
+  // the budget, so every skipped iteration must end below it (the
+  // commit, or at run entry Machine::run's loop, proved
+  // spent < cycle_budget).
+  k = std::min(k, (cycle_budget - spent - 1) / per_iteration);
+  if (gie()) {
+    // The chain commits to a block only while no line is pending and
+    // the horizon exceeds the tick debt plus that block's cycles (as
+    // the commit just checked), so the k skipped iterations and the
+    // real one after them must all end below it.
+    const uint64_t headroom = bus_.cycles_until_irq() - bus_.tick_debt();
+    k = std::min(k, (headroom - 1) / per_iteration - 1);
+  }
+  if (k == 0) return 0;
+  counter = static_cast<uint16_t>(counter - k);
+  instructions_retired_ += 2 * k;
+  bus_.accrue_ticks(k * per_iteration);
+  for (Monitor* m : transfer_monitors) {
+    m->on_repeated_transfer(jnz_pc, pc, jnz.next_address,
+                            static_cast<uint32_t>(k));
+  }
+  return static_cast<uint32_t>(k);
 }
 
 unsigned Cpu::service_interrupt(int vector_index) {

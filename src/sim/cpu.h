@@ -82,11 +82,17 @@ class Cpu {
   //   - a terminator left PC outside the table, on an undecodable
   //     slot, in low-power mode, or where an interrupt could assert or
   //     deliver within the next block.
+  // Committing to a counted delay loop (`dec rN; jnz self`, see
+  // isa::DecodedImage::Entry::counted_loop) retires in O(1) as many of
+  // its iterations as the chain would have run anyway, then carries on
+  // chaining block by block, so the run stops exactly where it would
+  // have without the skip.
   // Monitor visibility is block-granular (see sim/monitor.h): the fetch
   // hook fires at run entry and on range crossings only, with the last
   // fetched PC as its predecessor, and every chained-past terminator
-  // that transfers control is reported to `transfer_monitors`. The
-  // final instruction is the caller's to report (BlockRun::last_pc).
+  // that transfers control is reported to `transfer_monitors` (a
+  // skipped loop's edges in one on_repeated_transfer). The final
+  // instruction is the caller's to report (BlockRun::last_pc).
   BlockRun run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
                      std::span<Monitor* const> transfer_monitors);
 
@@ -148,6 +154,23 @@ class Cpu {
                                               uint16_t value);
   void push_word(uint16_t value);
   uint16_t pop_word();
+
+  // Retires the iterations of the counted delay loop `loop` (the
+  // committed block at `pc`) that provably end in a taken `jnz` with
+  // nothing observable in between, and returns how many. Its bounds:
+  //   - the counter, leaving at least one real iteration, so the loop's
+  //     final flags come from a real `dec`;
+  //   - the run budget: spent + k * block_cycles < cycle_budget;
+  //   - with GIE set, the interrupt horizon less the tick debt must
+  //     still clear the real block that follows (the commit itself
+  //     ruled out a pending line);
+  //   - a breakpoint on the `jnz` allows no skip (one on the head
+  //     stopped the run before the commit).
+  // The skipped cycles are accrued as tick debt in one go.
+  uint32_t skip_counted_loop(const isa::DecodedImage::Entry& loop, uint16_t pc,
+                             uint16_t breakpoint_pc, uint64_t spent,
+                             uint64_t cycle_budget,
+                             std::span<Monitor* const> transfer_monitors);
 
   void exec_double(const isa::Instruction& insn);
   void exec_single(const isa::Instruction& insn, uint16_t insn_pc);

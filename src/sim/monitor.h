@@ -23,6 +23,16 @@
 //     execution reports. It is an observation: a monitor must not deny
 //     or latch a violation from it (enforcement goes through the bus
 //     hooks), because the chain does not stop to ask.
+//   - on_repeated_transfer(from, to, fallthrough, k) in place of k
+//     identical on_control_transfer calls, to the same monitors. The
+//     chain fires it when it commits to a counted delay loop
+//     (`dec rN; jnz self`, isa::DecodedImage::Entry::counted_loop) and
+//     retires k of its iterations at once: a skip is a case of
+//     chaining, k times past the loop's own `jnz`, taken only as far as
+//     every chain check (run budget, interrupt horizon, breakpoint)
+//     would have let the chain run anyway. The loop touches no memory,
+//     so no bus hook is owed in between. The default replays the k
+//     calls; a monitor that logs edges appends them in bulk.
 //   - on_step after *every* retired instruction, only on monitors that
 //     declare wants_step(). Any such monitor (tracers, AttackEngine's
 //     PC triggers, which need every fetch) pins the machine to
@@ -100,6 +110,16 @@ class Monitor : public BusWatcher {
     (void)from_pc;
     (void)to_pc;
     (void)fallthrough;
+  }
+
+  // `count` back-to-back on_control_transfer calls with identical
+  // arguments (see the contract above). Override only to do them in
+  // bulk: the result must equal the replay.
+  virtual void on_repeated_transfer(uint16_t from_pc, uint16_t to_pc,
+                                    uint16_t fallthrough, uint32_t count) {
+    for (uint32_t i = 0; i < count; ++i) {
+      on_control_transfer(from_pc, to_pc, fallthrough);
+    }
   }
 };
 

@@ -1,10 +1,12 @@
 // Decoded-image layer: table construction, decode-cache coherence
 // (a kNone device that rewrites its own code must invalidate the table
 // and re-decode from memory with a bit-identical retired-instruction
-// trace), fleet-wide sharing of one table per build, and the
-// off-the-top-of-memory decode fix.
+// trace), fleet-wide sharing of one table per build, the
+// off-the-top-of-memory decode fix, and which blocks are marked as
+// counted delay loops.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "apps/apps.h"
@@ -12,6 +14,7 @@
 #include "eilid/pipeline.h"
 #include "isa/decoded_image.h"
 #include "isa/encoder.h"
+#include "sim/memory_map.h"
 #include "sim/monitor.h"
 
 namespace eilid {
@@ -162,6 +165,109 @@ TEST(DecodedImage, ControlTransferFlagCoversEveryObservedTransfer) {
     EXPECT_TRUE(entry->control_transfer) << "pc " << step.from;
   }
   EXPECT_GT(transfers, 0u);
+}
+
+// ------------------------------------------------ counted-loop marking
+
+// The interpretive statement of Entry::counted_loop: the bytes at `pc`
+// decode to a word-mode `sub #1, rN` with rN in r4-r15, and the next
+// instruction, still at or below `last`, is a `jnz` back to `pc`.
+bool is_counted_loop(const std::vector<uint8_t>& flat, uint32_t pc,
+                     uint32_t last) {
+  auto decode_at = [&flat](uint32_t a) {
+    auto word_at = [&flat](uint32_t w) {
+      return static_cast<uint16_t>(flat[w & 0xFFFF] |
+                                   (flat[(w + 1) & 0xFFFF] << 8));
+    };
+    return isa::decode({word_at(a), word_at(a + 2), word_at(a + 4)},
+                       static_cast<uint16_t>(a));
+  };
+  auto dec = decode_at(pc);
+  if (!dec || dec->insn.op != isa::Opcode::kSub || dec->insn.byte_mode ||
+      dec->insn.src != isa::Operand::make_imm(1) ||
+      dec->insn.dst.mode != isa::AddrMode::kRegister ||
+      dec->insn.dst.reg < 4 || dec->next_address() > last) {
+    return false;
+  }
+  auto jnz = decode_at(dec->next_address());
+  return jnz && jnz->insn.op == isa::Opcode::kJnz && jnz->jump_target() == pc;
+}
+
+TEST(DecodedImage, CountedLoopMarkingMatchesInterpretiveDecode) {
+  // ROM-less builds: the table's one range is PMEM up to the top of
+  // memory. Four Table IV apps spin in `dec rN; jnz self` delays; the
+  // other three poll peripherals in their short loops and have none.
+  size_t marked_total = 0;
+  for (const apps::AppSpec& app : apps::table4_apps()) {
+    core::BuildResult build =
+        core::build_app(app.source, app.name, {.eilid = false});
+    const std::vector<uint8_t> flat = core::flat_memory(build);
+    size_t marked = 0;
+    for (uint32_t pc = sim::kPmemStart; pc <= 0xFFFE; pc += 2) {
+      const auto* entry = build.decoded_image->lookup(static_cast<uint16_t>(pc));
+      ASSERT_NE(entry, nullptr);
+      EXPECT_EQ(entry->counted_loop, is_counted_loop(flat, pc, 0xFFFE))
+          << app.name << " pc " << pc;
+      if (entry->counted_loop) {
+        ++marked;
+        EXPECT_EQ(entry->span, 2) << app.name << " pc " << pc;
+        EXPECT_EQ(entry->target, pc) << app.name << " pc " << pc;
+      }
+    }
+    const bool has_delay_loops =
+        app.name == "syringe_pump" || app.name == "charlieplexing" ||
+        app.name == "temp_sensor" || app.name == "lcd_sensor";
+    EXPECT_EQ(marked > 0, has_delay_loops) << app.name;
+    marked_total += marked;
+  }
+  EXPECT_GT(marked_total, 4u);
+}
+
+// Whether the slot at `loop` is marked, in the ROM-less build of
+// `body` (assembled at 0xE000), over the build's own ranges or -- when
+// `last` is nonzero -- over the single range [0xE000, last].
+bool marked_in(const std::string& body, uint16_t last = 0) {
+  core::BuildResult build = core::build_app(
+      ".equ X, 0x0300\n.org 0xE000\nmain:\n    mov #0x1000, r1\n" + body +
+          "halt:\n    jmp halt\nelsewhere:\n    jmp halt\n"
+          ".vector 15, main\n",
+      "loop-shape", {.eilid = false});
+  const uint16_t pc = build.app.symbols.at("loop");
+  if (last == 0) return build.decoded_image->lookup(pc)->counted_loop;
+  const std::vector<uint8_t> flat = core::flat_memory(build);
+  const isa::DecodedImage::Range range{0xE000, last};
+  const isa::DecodedImage image(flat, std::span(&range, 1));
+  return image.lookup(pc)->counted_loop;
+}
+
+TEST(DecodedImage, OnlyRegisterCounterSelfLoopsAreMarked) {
+  EXPECT_TRUE(marked_in("loop:\n    dec r4\n    jnz loop\n"));
+  EXPECT_TRUE(marked_in("loop:\n    dec r15\n    jnz loop\n"));
+  EXPECT_TRUE(marked_in("loop:\n    sub #1, r9\n    jnz loop\n"));
+
+  // Byte mode, and the four special registers (PC, SP, SR, CG).
+  EXPECT_FALSE(marked_in("loop:\n    dec.b r5\n    jnz loop\n"));
+  for (int reg = 0; reg < 4; ++reg) {
+    const std::string r = "r" + std::to_string(reg);
+    EXPECT_FALSE(marked_in("loop:\n    dec " + r + "\n    jnz loop\n")) << r;
+  }
+  // Another step, a memory counter, another target, another condition.
+  EXPECT_FALSE(marked_in("loop:\n    sub #2, r5\n    jnz loop\n"));
+  EXPECT_FALSE(marked_in("loop:\n    dec &X\n    jnz loop\n"));
+  EXPECT_FALSE(marked_in("loop:\n    dec 2(r5)\n    jnz loop\n"));
+  EXPECT_FALSE(marked_in("loop:\n    dec r5\n    jnz elsewhere\n"));
+  EXPECT_FALSE(marked_in("loop:\n    dec r5\n    jz loop\n"));
+  // Three instructions in the loop.
+  EXPECT_FALSE(marked_in("loop:\n    dec r5\n    mov r5, r6\n    jnz loop\n"));
+  EXPECT_FALSE(
+      marked_in("loop:\n    nop\n    dec r5\n    jnz loop\n"));
+
+  // A range that ends at the `dec`: its `jnz` lies outside the table,
+  // so the block is the `dec` alone. The same loop inside the range is
+  // marked.
+  const std::string self_loop = "loop:\n    dec r5\n    jnz loop\n";
+  EXPECT_FALSE(marked_in(self_loop, /*last=*/0xE004));
+  EXPECT_TRUE(marked_in(self_loop, /*last=*/0xE006));
 }
 
 TEST(Fleet, SessionsOfOneBuildShareOneDecodedImage) {

@@ -8,8 +8,9 @@
 // not vacuous. The cases target the block engine's hard edges: a
 // store into the currently executing block, an interrupt landing
 // mid-block, the decode boundary at the top of memory, an indirect
-// branch into the middle of another entry's run, and fleet-wide
-// sharing of one immutable decoded table per build.
+// branch into the middle of another entry's run, counted delay loops
+// retired in bulk, and fleet-wide sharing of one immutable decoded
+// table per build.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,6 +21,7 @@
 
 #include "apps/apps.h"
 #include "cfa/attestation.h"
+#include "common/rng.h"
 #include "eilid/fleet.h"
 #include "eilid/pipeline.h"
 #include "isa/decoded_image.h"
@@ -436,6 +438,242 @@ TEST(Superblock, IndirectBranchToMidBlockPcDispatchesTheSuffix) {
   // The indirect edge (br r10 -> midblock) must appear in the evidence
   // with the same from/to under block dispatch as interpretively.
   expect_cfa_identical(build, "mid", 10000);
+}
+
+// ---------------------------------------------- counted delay loops
+
+// Two `dec rN; jnz self` delay loops: `delay_a` entered by falling
+// through from the block that loads its counter, `delay_b` by a jump.
+// With GIE on, the timer interrupts them every `period` cycles and the
+// ISR sums the live counters into r12/r13, so every delivery point is
+// frozen into the final registers.
+std::string counted_loop_source(uint16_t count_a, uint16_t count_b,
+                                unsigned period, bool gie) {
+  return ".equ TIMER_CTL, 0x0100\n.equ TIMER_CCR0, 0x0102\n"
+         ".equ TIMER_FLAGS, 0x0106\n.org 0xE000\nmain:\n"
+         "    mov #0x1000, r1\n"
+         "    mov #" + std::to_string(period) + ", &TIMER_CCR0\n"
+         "    mov #3, &TIMER_CTL\n" +
+         (gie ? "    eint\n" : "    nop\n") +
+         "    mov #" + std::to_string(count_a) + ", r10\n"
+         "delay_a:\n    dec r10\n    jnz delay_a\n"
+         "    mov #" + std::to_string(count_b) + ", r11\n"
+         "    jmp delay_b\n"
+         "halt:\n    jmp halt\n"
+         "delay_b:\n    dec r11\n    jnz delay_b\n    dint\n    jmp halt\n"
+         "timer_isr:\n    add r10, r12\n    add r11, r13\n    inc r14\n"
+         "    clr &TIMER_FLAGS\n    reti\n"
+         ".vector 15, main\n.vector 8, timer_isr\n";
+}
+
+struct LoopCase {
+  uint16_t count_a;
+  uint16_t count_b;
+  unsigned period;
+  bool gie;
+  const char* breakpoint;  // symbol, "+2" for its `jnz`; null: none
+  uint64_t slice;          // run() budget per call, never a multiple of 3
+};
+
+std::string describe(const LoopCase& c) {
+  return "counts " + std::to_string(c.count_a) + "/" +
+         std::to_string(c.count_b) + " period " + std::to_string(c.period) +
+         (c.gie ? " gie" : " no-gie") + " bp " +
+         (c.breakpoint != nullptr ? c.breakpoint : "none") + " slice " +
+         std::to_string(c.slice);
+}
+
+// Everything one arm of a counted-loop case produced.
+struct LoopRun {
+  std::vector<FinalState> breakpoint_stops;
+  FinalState final_state;
+  std::vector<cfa::LoggedEdge> edges;
+  uint32_t dropped = 0;
+  uint64_t total_edges = 0;
+  crypto::Digest mac{};
+  uint64_t blocks = 0;
+  uint64_t decode_hits = 0;
+  size_t mid_loop_stops = 0;  // slices that ended inside a loop
+
+  bool operator==(const LoopRun& o) const {
+    return breakpoint_stops == o.breakpoint_stops &&
+           final_state == o.final_state && edges == o.edges &&
+           dropped == o.dropped && total_edges == o.total_edges &&
+           mac == o.mac && mid_loop_stops == o.mid_loop_stops;
+  }
+};
+
+LoopRun run_loop_case(std::shared_ptr<const core::BuildResult> build,
+                      const LoopCase& c, const Arm& arm) {
+  SessionOptions options = options_for(arm);
+  options.cfa.log_capacity = 1u << 18;  // never drops here
+  DeviceSession dev(std::string("loop-") + arm.name, build,
+                    EnforcementPolicy::kCfaBaseline, options);
+  pin_arm(arm, dev);
+  sim::Machine& m = dev.machine();
+  const uint16_t a = dev.symbol("delay_a");
+  const uint16_t b = dev.symbol("delay_b");
+  const uint16_t halt = dev.symbol("halt");
+  LoopRun out;
+  if (c.breakpoint != nullptr) {
+    const std::string name = c.breakpoint;
+    const bool on_jnz = name.ends_with("+2");
+    const uint16_t bp = static_cast<uint16_t>(
+        dev.symbol(on_jnz ? name.substr(0, name.size() - 2) : name) +
+        (on_jnz ? 2 : 0));
+    // Stop at the breakpoint, retire one instruction past it, repeat.
+    for (int hit = 0; hit < 3; ++hit) {
+      m.run_until(bp, 5000);
+      out.breakpoint_stops.push_back(capture(m));
+      m.run(1);
+    }
+  }
+  while (m.cpu().pc() != halt && m.cycles() < 2'000'000) {
+    m.run_until(halt, c.slice);
+    const uint16_t pc = m.cpu().pc();
+    if (pc == a || pc == a + 2 || pc == b || pc == b + 2) ++out.mid_loop_stops;
+  }
+  out.final_state = capture(m);
+  cfa::CfaMonitor& monitor = *dev.cfa_monitor();
+  out.total_edges = monitor.total_edges();
+  cfa::Report report = monitor.take_report(0x600D, m.cycles());
+  out.edges = std::move(report.edges);
+  out.dropped = report.dropped;
+  out.mac = report.mac;
+  out.blocks = m.blocks_executed();
+  out.decode_hits = m.cpu().decode_cache_hits();
+  return out;
+}
+
+// The bulk retirement of counted loops is invisible: whatever the
+// counter (0 wraps through 65,536 iterations; 1-3 leave nothing or
+// almost nothing to skip), the run budget (never a multiple of the
+// 3-cycle iteration), a timer interrupt landing mid-loop with GIE on or
+// pending behind GIE off, a breakpoint on the loop head or its `jnz`,
+// or a run() resumed in the middle of a loop, all three arms end in
+// the same registers, SR, cycles, retired count, resets, breakpoint
+// stops and CFA evidence. And the plain superblock arm really skipped:
+// fewer blocks than the loop iterations a block-per-iteration chain
+// would have dispatched.
+TEST(Superblock, CountedLoopAgreesAcrossArms) {
+  std::vector<LoopCase> cases;
+  common::SeededRng rng(0x10095EED);
+  auto slice = [&rng] {
+    uint64_t s = 64 + rng.below(1900);
+    return s % 3 == 0 ? s + 1 : s;
+  };
+  const char* breakpoints[] = {nullptr, "delay_a", "delay_a+2", "delay_b",
+                               "delay_b+2"};
+  constexpr uint16_t kEdgeCounts[][2] = {{0, 1}, {1, 0}, {2, 3}, {3, 2}};
+  for (const auto& counts : kEdgeCounts) {
+    for (bool gie : {true, false}) {
+      for (const char* bp : {breakpoints[0], breakpoints[1], breakpoints[2]}) {
+        cases.push_back({counts[0], counts[1],
+                         static_cast<unsigned>(60 + rng.below(600)), gie, bp,
+                         slice()});
+      }
+    }
+  }
+  for (int i = 0; i < 24; ++i) {
+    cases.push_back({static_cast<uint16_t>(4 + rng.below(3000)),
+                     static_cast<uint16_t>(4 + rng.below(3000)),
+                     static_cast<unsigned>(60 + rng.below(600)),
+                     rng.below(2) == 0, breakpoints[rng.below(5)], slice()});
+  }
+  // Short slices too: budgets below one skip's worth of iterations.
+  cases.push_back({500, 0, 100, true, nullptr, 7});
+  cases.push_back({0, 500, 100, false, nullptr, 11});
+
+  size_t mid_loop_stops = 0;
+  size_t skip_checked = 0;
+  for (const LoopCase& c : cases) {
+    const std::string tag = describe(c);
+    auto build = build_of(
+        counted_loop_source(c.count_a, c.count_b, c.period, c.gie).c_str());
+    std::vector<LoopRun> runs;
+    for (const Arm& arm : kArms) runs.push_back(run_loop_case(build, c, arm));
+    EXPECT_EQ(runs[1], runs[0]) << tag;
+    EXPECT_EQ(runs[2], runs[0]) << tag;
+    EXPECT_EQ(runs[0].dropped, 0u) << tag;
+    EXPECT_EQ(runs[0].blocks, 0u) << tag;
+    EXPECT_EQ(runs[1].blocks, 0u) << tag;
+    // Skipped instructions were served from the table too.
+    EXPECT_EQ(runs[1].decode_hits, runs[1].final_state.retired) << tag;
+    EXPECT_EQ(runs[2].decode_hits, runs[2].final_state.retired) << tag;
+    mid_loop_stops += runs[0].mid_loop_stops;
+    size_t loop_edges = 0;
+    for (const cfa::LoggedEdge& e : runs[0].edges) {
+      if (e.to + 2 == e.from && !e.irq) ++loop_edges;
+    }
+    if (loop_edges >= 64 && c.slice >= 64) {
+      EXPECT_LT(runs[2].blocks, loop_edges) << tag;
+      ++skip_checked;
+    }
+  }
+  EXPECT_GT(mid_loop_stops, 0u);
+  EXPECT_GT(skip_checked, cases.size() / 2);
+}
+
+// The CFA log fills in the middle of a skip. The device is stopped at
+// the loop head with 300 iterations to go and its log drained, so the
+// first loop edge lands in an empty log and the bulk append must keep
+// exactly `capacity` edges, drop the rest and count every one of them
+// -- in one skip (one budget for the whole loop) and across several
+// (a budget of 100 cycles per run()).
+TEST(Superblock, CfaLogFillingMidSkipMatchesPerStep) {
+  auto build = build_of(R"(.org 0xE000
+main:
+    mov #0x1000, r1
+    mov #300, r10
+delay:
+    dec r10
+    jnz delay
+halt:
+    jmp halt
+.vector 15, main
+)");
+  for (size_t capacity : {1u, 5u, 17u}) {
+    for (uint64_t slice : {10000u, 100u}) {
+      const std::string tag = "capacity " + std::to_string(capacity) +
+                              " slice " + std::to_string(slice);
+      std::vector<LoopRun> runs;
+      for (const Arm& arm : kArms) {
+        SessionOptions options = options_for(arm);
+        options.cfa.log_capacity = capacity;
+        DeviceSession dev(std::string("fill-") + arm.name, build,
+                          EnforcementPolicy::kCfaBaseline, options);
+        pin_arm(arm, dev);
+        sim::Machine& m = dev.machine();
+        cfa::CfaMonitor& monitor = *dev.cfa_monitor();
+        dev.run_to_symbol("delay", 1000);
+        monitor.take_report(1, m.cycles());  // the power-on marker
+        const uint64_t blocks_before = m.blocks_executed();
+        while (m.cpu().pc() != dev.symbol("halt")) {
+          dev.run_to_symbol("halt", slice);
+        }
+        LoopRun run;
+        run.final_state = capture(m);
+        run.total_edges = monitor.total_edges();
+        cfa::Report report = monitor.take_report(2, m.cycles());
+        run.edges = std::move(report.edges);
+        run.dropped = report.dropped;
+        run.mac = report.mac;
+        run.blocks = m.blocks_executed() - blocks_before;
+        runs.push_back(std::move(run));
+      }
+      EXPECT_EQ(runs[1], runs[0]) << tag;
+      EXPECT_EQ(runs[2], runs[0]) << tag;
+      // 299 taken `jnz`s after the power-on marker.
+      EXPECT_EQ(runs[0].total_edges, 300u) << tag;
+      EXPECT_EQ(runs[0].edges.size(), capacity) << tag;
+      EXPECT_EQ(runs[0].dropped, 299u - capacity) << tag;
+      // The superblock arm skipped: far fewer blocks than iterations.
+      // Given the whole loop in one budget it is a single block, the
+      // skip at run entry plus the one real iteration that ends it.
+      EXPECT_LT(runs[2].blocks, 40u) << tag;
+      if (slice == 10000) EXPECT_EQ(runs[2].blocks, 1u) << tag;
+    }
+  }
 }
 
 // ------------------------------------------ dispatches under monitors
