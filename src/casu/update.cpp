@@ -61,10 +61,9 @@ std::string_view update_status_name(UpdateStatus status) {
   return "?";
 }
 
-crypto::Digest package_mac(const crypto::Digest& update_key,
+crypto::Digest package_mac(const crypto::HmacKey& update_key,
                            const UpdatePackage& package) {
-  crypto::HmacSha256 mac(
-      std::span<const uint8_t>(update_key.data(), update_key.size()));
+  crypto::HmacSha256 mac(update_key);
   uint8_t header[4];
   for (int i = 0; i < 4; ++i) {
     header[i] = static_cast<uint8_t>(package.version >> (8 * i));

@@ -98,8 +98,8 @@ std::string_view update_status_name(UpdateStatus status);
 
 // MAC over version || (addr, len, bytes) per region, all fields
 // fixed-width LE. Shared by the authority (signing) and the engine
-// (verification).
-crypto::Digest package_mac(const crypto::Digest& update_key,
+// (verification), each holding the update key's HMAC midstates.
+crypto::Digest package_mac(const crypto::HmacKey& update_key,
                            const UpdatePackage& package);
 
 // --- wire format ----------------------------------------------------
@@ -160,7 +160,7 @@ class UpdateAuthority {
                              std::vector<uint8_t> payload) const;
 
  private:
-  crypto::Digest update_key_;
+  crypto::HmacKey update_key_;
 };
 
 // Receiver side: one engine per device, bound to that device's machine
@@ -249,7 +249,7 @@ class UpdateEngine {
                      std::optional<size_t> power_cut_after_regions);
   UpdateStatus commit(std::optional<size_t> power_cut_after_regions);
 
-  crypto::Digest update_key_;
+  crypto::HmacKey update_key_;
   sim::Machine& machine_;
   CasuMonitor* monitor_;
   uint32_t version_ = 0;

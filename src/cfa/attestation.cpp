@@ -1,6 +1,8 @@
 #include "cfa/attestation.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace eilid::cfa {
 
@@ -70,8 +72,8 @@ void CfaMonitor::on_update_applied() {
   log_edge(marker);
 }
 
-crypto::Digest CfaMonitor::mac_report(const crypto::Digest& key, uint64_t nonce,
-                                      const Report& report) {
+crypto::Digest CfaMonitor::mac_report(const crypto::HmacKey& key,
+                                      uint64_t nonce, const Report& report) {
   // Stream the report through an incremental HMAC instead of
   // materializing a header|edges byte vector: a drained 2^17-edge
   // log would otherwise allocate ~640 KB per report just to hash it.
@@ -82,7 +84,7 @@ crypto::Digest CfaMonitor::mac_report(const crypto::Digest& key, uint64_t nonce,
   // the original header stopped at seq, so a man-in-the-middle could
   // bump cycle (backdating when evidence was emitted) or zero dropped
   // (hiding log overflow) without failing authentication.
-  crypto::HmacSha256 mac(std::span<const uint8_t>(key.data(), key.size()));
+  crypto::HmacSha256 mac(key);
   uint8_t header[24];
   for (int i = 0; i < 8; ++i) header[i] = static_cast<uint8_t>(nonce >> (8 * i));
   for (int i = 0; i < 4; ++i) {
@@ -97,28 +99,43 @@ crypto::Digest CfaMonitor::mac_report(const crypto::Digest& key, uint64_t nonce,
   mac.update(std::span<const uint8_t>(header, sizeof(header)));
   // Batch edge records through a block-sized buffer so Sha256::update
   // sees chunks, not per-edge dribbles. 64 records is a multiple of
-  // the SHA-256 block size for the current 5-byte record.
-  uint8_t buf[64 * LoggedEdge::kWireBytes];
-  size_t fill = 0;
-  for (const auto& e : report.edges) {
-    buf[fill++] = static_cast<uint8_t>(e.from);
-    buf[fill++] = static_cast<uint8_t>(e.from >> 8);
-    buf[fill++] = static_cast<uint8_t>(e.to);
-    buf[fill++] = static_cast<uint8_t>(e.to >> 8);
-    buf[fill++] = static_cast<uint8_t>((e.irq ? 1 : 0) | (e.reset ? 2 : 0) |
-                                       (e.update ? 4 : 0));
-    if (fill == sizeof(buf)) {
-      mac.update(std::span<const uint8_t>(buf, fill));
-      fill = 0;
+  // the SHA-256 block size for the current 5-byte record. Each record
+  // goes out as one 8-byte little-endian store (from | to | flags),
+  // advancing 5: the next record overwrites the 3 spare bytes, and the
+  // slack at the end of `buf` absorbs the last store.
+  constexpr size_t kRecords = 64;
+  uint8_t buf[kRecords * LoggedEdge::kWireBytes + 3];
+  const auto put_le64 = [](uint8_t* out, uint64_t v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out, &v, sizeof(v));
+    } else {
+      for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
     }
+  };
+  const LoggedEdge* e = report.edges.data();
+  for (size_t left = report.edges.size(); left > 0;) {
+    const size_t n = std::min(left, kRecords);
+    for (size_t i = 0; i < n; ++i, ++e) {
+      const uint64_t flags = (e->irq ? 1u : 0u) | (e->reset ? 2u : 0u) |
+                             (e->update ? 4u : 0u);
+      put_le64(buf + i * LoggedEdge::kWireBytes,
+               e->from | (uint64_t{e->to} << 16) | (flags << 32));
+    }
+    mac.update(std::span<const uint8_t>(buf, n * LoggedEdge::kWireBytes));
+    left -= n;
   }
-  if (fill != 0) mac.update(std::span<const uint8_t>(buf, fill));
   return mac.finish();
 }
 
 Report CfaMonitor::take_report(uint64_t nonce, uint64_t device_cycle,
                                size_t max_edges) {
   Report r;
+  take_report(nonce, device_cycle, max_edges, r);
+  return r;
+}
+
+void CfaMonitor::take_report(uint64_t nonce, uint64_t device_cycle,
+                             size_t max_edges, Report& r) {
   r.seq = seq_++;
   r.cycle = device_cycle;
   // Overflow drops ride the first report that drains them: a bounded
@@ -128,20 +145,28 @@ Report CfaMonitor::take_report(uint64_t nonce, uint64_t device_cycle,
   dropped_ = 0;
   const size_t take =
       max_edges == 0 ? count_ : (max_edges < count_ ? max_edges : count_);
+  // Copy whole chunk runs: the slice is at most one partial run at
+  // each end and full chunks in between.
+  r.edges.clear();
   r.edges.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    const size_t pos = head_ + i;
-    r.edges.push_back(chunks_[pos / kChunkEdges][pos % kChunkEdges]);
+  for (size_t left = take; left > 0;) {
+    const LoggedEdge* run = chunks_[head_ / kChunkEdges].get();
+    const size_t offset = head_ % kChunkEdges;
+    const size_t n = std::min(left, kChunkEdges - offset);
+    r.edges.insert(r.edges.end(), run + offset, run + offset + n);
+    head_ += n;
+    left -= n;
   }
-  head_ += take;
   count_ -= take;
   // Recycle fully-drained leading chunks; a fully-drained log resets
   // the cursor so the arena's steady state is independent of history.
-  while (head_ >= kChunkEdges) {
-    free_chunks_.push_back(std::move(chunks_.front()));
-    chunks_.erase(chunks_.begin());
-    head_ -= kChunkEdges;
+  const size_t drained = head_ / kChunkEdges;
+  for (size_t i = 0; i < drained; ++i) {
+    free_chunks_.push_back(std::move(chunks_[i]));
   }
+  chunks_.erase(chunks_.begin(),
+                chunks_.begin() + static_cast<ptrdiff_t>(drained));
+  head_ -= drained * kChunkEdges;
   if (count_ == 0) {
     while (!chunks_.empty()) {
       free_chunks_.push_back(std::move(chunks_.back()));
@@ -150,10 +175,44 @@ Report CfaMonitor::take_report(uint64_t nonce, uint64_t device_cycle,
     head_ = 0;
   }
   r.mac = mac_report(key_, nonce, r);
-  return r;
 }
 
 bool CfaVerifier::replay_edge(const LoggedEdge& edge) {
+  if (edge.update || edge.reset || edge.irq) [[unlikely]] {
+    return replay_marker(edge);
+  }
+  // One site lookup judges every synchronous transfer. Jumps -- most
+  // of any loop-heavy trace -- are tested before the switch, so the
+  // common edge costs one well-predicted branch, not a jump table.
+  const Site* site = cfg_->site(edge.from);
+  if (site == nullptr) return false;
+  if (site->kind == SiteKind::kJump) return site->target == edge.to;
+  const auto enter_call = [&] {
+    if (!stack_fits(1)) return false;
+    call_stack_.push_back(site->return_addr);
+    return true;
+  };
+  switch (site->kind) {
+    case SiteKind::kCall:
+      return site->target == edge.to && enter_call();
+    case SiteKind::kIndirectCall:
+      return cfg_->is_call_target(edge.to) && enter_call();
+    case SiteKind::kRet:
+      if (call_stack_.empty() || call_stack_.back() != edge.to) return false;
+      call_stack_.pop_back();
+      return true;
+    case SiteKind::kReti:
+      if (irq_stack_.empty() || irq_stack_.back() != edge.to) return false;
+      irq_stack_.pop_back();
+      return true;
+    case SiteKind::kJump:
+    case SiteKind::kOther:
+      break;
+  }
+  return false;
+}
+
+bool CfaVerifier::replay_marker(const LoggedEdge& edge) {
   if (edge.update) {
     // Code epoch boundary: legitimate only if the verifier sanctioned
     // an update for this device (stage_cfg_swap / queue_cfg_swap). The
@@ -172,39 +231,11 @@ bool CfaVerifier::replay_edge(const LoggedEdge& edge) {
     irq_stack_.clear();
     return true;
   }
-  if (edge.irq) {
-    if (cfg_->isr_entries.count(edge.to) == 0) return false;
-    if (!stack_fits(2)) return false;
-    irq_stack_.push_back(edge.from);  // resume point
-    return true;
-  }
-  // Direct jump/branch edge?
-  if (cfg_->has_jump_edge(edge.from, edge.to)) return true;
-  // Call site?
-  auto call = cfg_->call_sites.find(edge.from);
-  if (call != cfg_->call_sites.end()) {
-    if (call->second.indirect) {
-      if (cfg_->call_targets.count(edge.to) == 0) return false;
-    } else if (call->second.target != edge.to) {
-      return false;
-    }
-    if (!stack_fits(1)) return false;
-    call_stack_.push_back(call->second.return_addr);
-    return true;
-  }
-  // Return?
-  if (cfg_->ret_addrs.count(edge.from) != 0) {
-    if (call_stack_.empty() || call_stack_.back() != edge.to) return false;
-    call_stack_.pop_back();
-    return true;
-  }
-  // Return from interrupt?
-  if (cfg_->reti_addrs.count(edge.from) != 0) {
-    if (irq_stack_.empty() || irq_stack_.back() != edge.to) return false;
-    irq_stack_.pop_back();
-    return true;
-  }
-  return false;
+  // Interrupt entry.
+  if (!cfg_->is_isr_entry(edge.to)) return false;
+  if (!stack_fits(2)) return false;
+  irq_stack_.push_back(edge.from);  // resume point
+  return true;
 }
 
 CfaVerifier::Result CfaVerifier::verify(const Report& report, uint64_t nonce) {

@@ -55,8 +55,8 @@ struct CfaConfig {
 // address the machine already decoded (see on_step).
 class CfaMonitor : public sim::Monitor {
  public:
-  explicit CfaMonitor(crypto::Digest key, CfaConfig config = {})
-      : key_(key), config_(config) {}
+  explicit CfaMonitor(const crypto::Digest& key, CfaConfig config = {})
+      : config_(config), key_(key) {}
 
   // sim::Monitor. Note: the log *survives* device resets (ACFA keeps
   // the log slice in attested memory so that evidence of the pre-reset
@@ -94,6 +94,11 @@ class CfaMonitor : public sim::Monitor {
   // overflow drops are reported on the first slice that drains them.
   Report take_report(uint64_t nonce, uint64_t device_cycle,
                      size_t max_edges = 0);
+  // The same drain into `out`, whose edge storage is reused: a caller
+  // judging many reports keeps one buffer instead of first-touching a
+  // fresh multi-page allocation per report.
+  void take_report(uint64_t nonce, uint64_t device_cycle, size_t max_edges,
+                   Report& out);
 
   size_t log_size() const { return count_; }
   uint64_t total_edges() const { return total_edges_; }
@@ -113,7 +118,7 @@ class CfaMonitor : public sim::Monitor {
   // itself is not an input. Covering cycle/dropped matters: an
   // attacker who can rewrite either in transit could backdate
   // evidence or hide log overflow without touching the edge stream.
-  static crypto::Digest mac_report(const crypto::Digest& key, uint64_t nonce,
+  static crypto::Digest mac_report(const crypto::HmacKey& key, uint64_t nonce,
                                    const Report& report);
 
  private:
@@ -132,7 +137,8 @@ class CfaMonitor : public sim::Monitor {
   void log_edge(LoggedEdge edge) { log_edges(edge, 1); }
   LoggedEdge* grow_chunk();
 
-  crypto::Digest key_;
+  // The logging state every control transfer touches comes first; the
+  // key is read once per report.
   CfaConfig config_;
   std::vector<std::unique_ptr<LoggedEdge[]>> chunks_;  // live FIFO, in order
   std::vector<std::unique_ptr<LoggedEdge[]>> free_chunks_;
@@ -141,6 +147,7 @@ class CfaMonitor : public sim::Monitor {
   uint32_t dropped_ = 0;
   uint32_t seq_ = 0;
   uint64_t total_edges_ = 0;
+  crypto::HmacKey key_;
 };
 
 // The verifier half: MAC check + stateful path replay against the CFG.
@@ -152,12 +159,12 @@ class CfaVerifier {
     std::optional<LoggedEdge> first_bad;
   };
 
-  CfaVerifier(Cfg cfg, crypto::Digest key)
+  CfaVerifier(Cfg cfg, const crypto::Digest& key)
       : CfaVerifier(std::make_shared<const Cfg>(std::move(cfg)), key) {}
   // Fleet-scale form: N verifiers replaying against one shared
   // (immutable) CFG, extracted once per build instead of once per
   // device.
-  CfaVerifier(std::shared_ptr<const Cfg> cfg, crypto::Digest key)
+  CfaVerifier(std::shared_ptr<const Cfg> cfg, const crypto::Digest& key)
       : cfg_(std::move(cfg)), key_(key) {}
 
   // Verify the next report in sequence. Replay state (call stack,
@@ -188,6 +195,8 @@ class CfaVerifier {
 
  private:
   bool replay_edge(const LoggedEdge& edge);
+  // Update, reset and interrupt-entry edges: no site lookup.
+  bool replay_marker(const LoggedEdge& edge);
   // Whether `words` more stack words still fit under kMaxStackWords.
   bool stack_fits(size_t words) const {
     return call_stack_.size() + 2 * irq_stack_.size() + words <=
@@ -195,7 +204,7 @@ class CfaVerifier {
   }
 
   std::shared_ptr<const Cfg> cfg_;
-  crypto::Digest key_;
+  crypto::HmacKey key_;
   std::vector<uint16_t> call_stack_;  // expected return addresses
   std::vector<uint16_t> irq_stack_;   // expected resume addresses
   std::deque<std::shared_ptr<const Cfg>> pending_cfgs_;

@@ -4,7 +4,7 @@
 
 namespace eilid::crypto {
 
-HmacSha256::HmacSha256(std::span<const uint8_t> key) {
+HmacKey::HmacKey(std::span<const uint8_t> key) {
   constexpr size_t kBlock = Sha256::kBlockSize;
   std::array<uint8_t, kBlock> k0{};
 
@@ -16,24 +16,29 @@ HmacSha256::HmacSha256(std::span<const uint8_t> key) {
   }
 
   std::array<uint8_t, kBlock> ipad;
+  std::array<uint8_t, kBlock> opad;
   for (size_t i = 0; i < kBlock; ++i) {
     ipad[i] = static_cast<uint8_t>(k0[i] ^ 0x36);
-    opad_[i] = static_cast<uint8_t>(k0[i] ^ 0x5c);
+    opad[i] = static_cast<uint8_t>(k0[i] ^ 0x5c);
   }
-  inner_.update(std::span<const uint8_t>(ipad.data(), ipad.size()));
+  Sha256 h;
+  h.update(std::span<const uint8_t>(ipad.data(), ipad.size()));
+  inner_ = h.state();
+  h.reset();
+  h.update(std::span<const uint8_t>(opad.data(), opad.size()));
+  outer_ = h.state();
 }
 
 Digest HmacSha256::finish() {
-  Digest inner_digest = inner_.finish();
-  Sha256 outer;
-  outer.update(std::span<const uint8_t>(opad_.data(), opad_.size()));
+  const Digest inner_digest = inner_.finish();
+  Sha256 outer(outer_, 1);
   outer.update(
       std::span<const uint8_t>(inner_digest.data(), inner_digest.size()));
   return outer.finish();
 }
 
 Digest hmac_sha256(std::span<const uint8_t> key, std::span<const uint8_t> message) {
-  HmacSha256 mac(key);
+  HmacSha256 mac{HmacKey(key)};
   mac.update(message);
   return mac.finish();
 }

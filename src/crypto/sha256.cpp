@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace eilid::crypto {
 namespace {
 
@@ -21,73 +25,11 @@ constexpr uint32_t kRoundConstants[64] = {
 
 constexpr uint32_t rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
-}  // namespace
+constexpr Sha256::State kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                         0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                         0x1f83d9ab, 0x5be0cd19};
 
-Sha256::Sha256() { reset(); }
-
-void Sha256::reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  buffer_len_ = 0;
-  total_bits_ = 0;
-}
-
-void Sha256::update(std::span<const uint8_t> data) {
-  if (data.empty()) return;  // data() may be null: no memcpy from it
-  total_bits_ += static_cast<uint64_t>(data.size()) * 8;
-  const uint8_t* in = data.data();
-  size_t len = data.size();
-  // Top up a partly filled block first; whole blocks then go straight
-  // from the input to compress(), and only the tail is buffered.
-  if (buffer_len_ != 0) {
-    const size_t take = std::min(len, kBlockSize - buffer_len_);
-    std::memcpy(buffer_.data() + buffer_len_, in, take);
-    buffer_len_ += take;
-    in += take;
-    len -= take;
-    if (buffer_len_ < kBlockSize) return;
-    compress(buffer_.data());
-    buffer_len_ = 0;
-  }
-  for (; len >= kBlockSize; in += kBlockSize, len -= kBlockSize) compress(in);
-  if (len != 0) std::memcpy(buffer_.data(), in, len);
-  buffer_len_ = len;
-}
-
-void Sha256::update(std::string_view text) {
-  update(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(text.data()),
-                                  text.size()));
-}
-
-Digest Sha256::finish() {
-  // Padding: 0x80, zeros, 64-bit big-endian bit length. The length
-  // needs the last 8 bytes of a block; when the 0x80 leaves less room
-  // than that, the zeros run on through one more block.
-  buffer_[buffer_len_++] = 0x80;
-  if (buffer_len_ > kBlockSize - 8) {
-    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
-    compress(buffer_.data());
-    buffer_len_ = 0;
-  }
-  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
-  for (int i = 0; i < 8; ++i) {
-    buffer_[kBlockSize - 1 - static_cast<size_t>(i)] =
-        static_cast<uint8_t>(total_bits_ >> (i * 8));
-  }
-  compress(buffer_.data());
-
-  Digest out{};
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i + 0] = static_cast<uint8_t>(state_[static_cast<size_t>(i)] >> 24);
-    out[4 * i + 1] = static_cast<uint8_t>(state_[static_cast<size_t>(i)] >> 16);
-    out[4 * i + 2] = static_cast<uint8_t>(state_[static_cast<size_t>(i)] >> 8);
-    out[4 * i + 3] = static_cast<uint8_t>(state_[static_cast<size_t>(i)]);
-  }
-  reset();
-  return out;
-}
-
-void Sha256::compress(const uint8_t* block) {
+void compress_block_portable(Sha256::State& state, const uint8_t* block) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
@@ -101,8 +43,8 @@ void Sha256::compress(const uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -121,14 +63,180 @@ void Sha256::compress(const uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// SHA-NI: each sha256rnds2 runs two rounds on the state split as
+// ABEF/CDGH; sha256msg1/msg2 extend the message schedule four words at
+// a time. Sixteen four-round groups make one block.
+__attribute__((target("sha,sse4.1"))) void compress_shani(
+    Sha256::State& state, const uint8_t* data, size_t blocks) {
+  // Byte swap within each 32-bit word: the message is big-endian.
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);               // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);             // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);     // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);          // CDGH
+
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // schedule words 4(i-4) .. 4i-1, by group mod 4
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      __m128i m;
+      if (i < 4) {
+        m = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+            kByteSwap);
+      } else {
+        // W[t] = W[t-16] + s0(W[t-15]) + W[t-7] + s1(W[t-2]), four at once.
+        m = _mm_sha256msg1_epu32(w[i & 3], w[(i + 1) & 3]);
+        m = _mm_add_epi32(m, _mm_alignr_epi8(w[(i + 3) & 3], w[(i + 2) & 3], 4));
+        m = _mm_sha256msg2_epu32(m, w[(i + 3) & 3]);
+      }
+      w[i & 3] = m;
+      const __m128i wk = _mm_add_epi32(
+          m, _mm_loadu_si128(
+                 reinterpret_cast<const __m128i*>(&kRoundConstants[4 * i])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);              // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);             // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xF0);          // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);             // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), cdgh);
+}
+#endif
+
+Sha256Kernel detect_kernel() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+    return Sha256Kernel::kShaNi;
+  }
+#endif
+  return Sha256Kernel::kPortable;
+}
+
+using CompressFn = void (*)(Sha256::State&, const uint8_t*, size_t);
+
+CompressFn dispatched_kernel() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (sha256_kernel() == Sha256Kernel::kShaNi) return compress_shani;
+#endif
+  return sha256_compress_portable;
+}
+
+thread_local uint64_t t_compressions = 0;
+
+}  // namespace
+
+void sha256_compress_portable(Sha256::State& state, const uint8_t* data,
+                              size_t blocks) {
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    compress_block_portable(state, data);
+  }
+}
+
+Sha256Kernel sha256_kernel() {
+  static const Sha256Kernel kernel = detect_kernel();
+  return kernel;
+}
+
+void sha256_compress(Sha256::State& state, const uint8_t* data, size_t blocks) {
+  static const CompressFn kernel = dispatched_kernel();
+  t_compressions += blocks;
+  kernel(state, data, blocks);
+}
+
+uint64_t sha256_compressions() { return t_compressions; }
+
+Sha256::Sha256() { reset(); }
+
+Sha256::Sha256(const State& state, uint64_t blocks)
+    : state_(state), total_bits_(blocks * kBlockSize * 8) {}
+
+void Sha256::reset() {
+  state_ = kInitialState;
+  buffer_len_ = 0;
+  total_bits_ = 0;
+}
+
+void Sha256::update(std::span<const uint8_t> data) {
+  if (data.empty()) return;  // data() may be null: no memcpy from it
+  total_bits_ += static_cast<uint64_t>(data.size()) * 8;
+  const uint8_t* in = data.data();
+  size_t len = data.size();
+  // Top up a partly filled block first; whole blocks then go straight
+  // from the input to the kernel in one call, and only the tail is
+  // buffered.
+  if (buffer_len_ != 0) {
+    const size_t take = std::min(len, kBlockSize - buffer_len_);
+    std::memcpy(buffer_.data() + buffer_len_, in, take);
+    buffer_len_ += take;
+    in += take;
+    len -= take;
+    if (buffer_len_ < kBlockSize) return;
+    sha256_compress(state_, buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  const size_t whole = len / kBlockSize;
+  if (whole != 0) sha256_compress(state_, in, whole);
+  in += whole * kBlockSize;
+  len -= whole * kBlockSize;
+  if (len != 0) std::memcpy(buffer_.data(), in, len);
+  buffer_len_ = len;
+}
+
+void Sha256::update(std::string_view text) {
+  update(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(text.data()),
+                                  text.size()));
+}
+
+Digest Sha256::finish() {
+  // Padding: 0x80, zeros, 64-bit big-endian bit length. The length
+  // needs the last 8 bytes of a block; when the 0x80 leaves less room
+  // than that, the zeros run on through one more block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    sha256_compress(state_, buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[kBlockSize - 1 - static_cast<size_t>(i)] =
+        static_cast<uint8_t>(total_bits_ >> (i * 8));
+  }
+  sha256_compress(state_, buffer_.data(), 1);
+
+  Digest out{};
+  for (int i = 0; i < 8; ++i) {
+    out[4 * i + 0] = static_cast<uint8_t>(state_[static_cast<size_t>(i)] >> 24);
+    out[4 * i + 1] = static_cast<uint8_t>(state_[static_cast<size_t>(i)] >> 16);
+    out[4 * i + 2] = static_cast<uint8_t>(state_[static_cast<size_t>(i)] >> 8);
+    out[4 * i + 3] = static_cast<uint8_t>(state_[static_cast<size_t>(i)]);
+  }
+  reset();
+  return out;
 }
 
 Digest sha256(std::span<const uint8_t> data) {

@@ -119,8 +119,12 @@ VerifierService::AttestResult VerifierService::judge(const Target& target,
 
   const uint64_t nonce =
       nonce_counter_.fetch_add(1, std::memory_order_relaxed);
-  cfa::Report report = session.cfa_monitor()->take_report(
-      nonce, session.machine().cycles(), max_edges);
+  // The drained slice lands in this thread's reused report: a fresh
+  // multi-page edge vector per verdict costs more in first-touch page
+  // faults than copying the edges does.
+  thread_local cfa::Report report;
+  session.cfa_monitor()->take_report(nonce, session.machine().cycles(),
+                                     max_edges, report);
   out.remaining = session.cfa_monitor()->log_size();
   out.seq = report.seq;
   out.cycle = report.cycle;

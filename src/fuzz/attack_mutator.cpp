@@ -33,21 +33,22 @@ std::optional<PmemPatch> AttackMutator::plan_jump_diversion(
     uint16_t from, to, word;
   };
   std::vector<Cand> cands;
-  std::set<uint32_t> seen;
+  std::set<uint16_t> seen;  // a jump site has one target: dedup by source
   for (const cfa::LoggedEdge& e : benign.edges) {
     if (e.irq || e.reset || e.update) continue;
     if (!cfg.has_jump_edge(e.from, e.to)) continue;
     if (!unit.image.contains(e.from)) continue;
     const uint16_t w = unit.image.word_at(e.from);
     if ((w & 0xE000) != 0x2000) continue;
-    if (!seen.insert(cfa::Cfg::edge(e.from, e.to)).second) continue;
+    if (!seen.insert(e.from).second) continue;
     cands.push_back({e.from, e.to, w});
   }
   if (cands.empty()) return std::nullopt;
   const Cand c = cands[rng_.below(cands.size())];
 
   std::vector<uint16_t> targets;
-  for (uint16_t a : cfg.code_addrs) {
+  for (const cfa::Site& site : cfg.sites()) {
+    const uint16_t a = site.pc;
     const int off = (static_cast<int>(a) - (static_cast<int>(c.from) + 2)) / 2;
     if (off < -512 || off > 511) continue;
     if (a == c.to) continue;  // the legitimate target
@@ -92,7 +93,7 @@ std::optional<PmemPatch> AttackMutator::plan_table_diversion(
   std::vector<uint16_t> bad;
   for (const attacks::Gadget& g : gadgets) {
     if (g.addr % 2 != 0) continue;
-    if (cfg.call_targets.count(g.addr) != 0) continue;
+    if (cfg.is_call_target(g.addr)) continue;
     if (g.addr == old_target || g.addr == tab_addr) continue;
     bad.push_back(g.addr);
   }

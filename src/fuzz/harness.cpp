@@ -193,7 +193,7 @@ void DifferentialHarness::check_program(uint64_t seed,
       if (cfa_reports[0].dropped != 0) {
         add_failure(report, seed, "benign run overflowed the CFA log");
       }
-      cfa::CfaVerifier verifier(cfa::extract_cfg(plain->app), fixed_key());
+      cfa::CfaVerifier verifier(plain->cfg, fixed_key());
       const auto res = verifier.verify(cfa_reports[0], kNonce);
       if (!res.mac_ok || !res.path_ok) {
         add_failure(report, seed,
@@ -255,7 +255,7 @@ void DifferentialHarness::check_mutation(uint64_t seed,
   const std::string source = spec.render();
   Fleet fleet;
   const auto plain = fleet.build(source, spec.name(), {.eilid = false});
-  const cfa::Cfg cfg = cfa::extract_cfg(plain->app);
+  const cfa::Cfg& cfg = *plain->cfg;
   AttackMutator mutator(seed);
 
   // Benign evidence: exercised-edge selection for the jump family and
@@ -282,7 +282,7 @@ void DifferentialHarness::check_mutation(uint64_t seed,
     dev.run_to_symbol("halt", options_.mutated_budget);
     const cfa::Report evidence =
         dev.cfa_monitor()->take_report(kNonce, dev.machine().cycles());
-    cfa::CfaVerifier verifier(cfg, fixed_key());
+    cfa::CfaVerifier verifier(plain->cfg, fixed_key());
     const auto res = verifier.verify(evidence, kNonce);
     if (res.mac_ok && res.path_ok) {
       char buf[96];
@@ -311,9 +311,8 @@ void DifferentialHarness::check_mutation(uint64_t seed,
     // indirect-call check must refuse the gadget in real time, before
     // any corrupted transfer retires.
     const auto instr = fleet.build(source, spec.name() + "-eilid", {});
-    const cfa::Cfg instr_cfg = cfa::extract_cfg(instr->app);
     if (const auto plan =
-            mutator.plan_table_diversion(instr->app, instr_cfg, slot)) {
+            mutator.plan_table_diversion(instr->app, *instr->cfg, slot)) {
       ++report.mutation_cases;
       DeviceSession dev(spec.name(), instr, EnforcementPolicy::kEilidHw,
                         standalone_options(ExecutionEngine::kSuperblock));
@@ -333,7 +332,7 @@ void DifferentialHarness::check_mutation(uint64_t seed,
     const auto tampered = mutator.tamper_report(benign, kind);
     if (!tampered.has_value()) continue;
     ++report.mutation_cases;
-    cfa::CfaVerifier verifier(cfg, fixed_key());
+    cfa::CfaVerifier verifier(plain->cfg, fixed_key());
     const auto res = verifier.verify(*tampered, kNonce);
     if (res.mac_ok && res.path_ok) {
       add_failure(report, seed,

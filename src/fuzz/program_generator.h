@@ -18,8 +18,8 @@
 //     disarmed (dint) before the halt spin, and the ISR does constant
 //     work with a period far above its cost,
 //   - replays clean: every emitted transfer has a CFA replay rule --
-//     direct jumps land in Cfg::jump_edges, indirect calls target
-//     .func-declared functions (Cfg::call_targets), rets balance
+//     direct jumps land on their kJump site's target, indirect calls
+//     target .func-declared functions (Cfg::call_targets), rets balance
 //     calls, reti balances the vectored timer ISR. No bare indirect
 //     branches: `br rN` has no replay rule and would self-convict,
 //   - instrumentable: r6/r7 (EILIDinst scratch) are never used, main's

@@ -3,6 +3,7 @@
 // between sessions that share one cached build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 
 #include "apps/apps.h"
@@ -365,21 +366,18 @@ TEST(FleetPolicies, AttestingNonCfaSessionReportsUnattested) {
 // --------------------------------------------------------- build CFG
 
 void expect_same_cfg(const cfa::Cfg& got, const cfa::Cfg& want) {
-  EXPECT_EQ(got.code_addrs, want.code_addrs);
-  EXPECT_EQ(got.jump_edges, want.jump_edges);
-  ASSERT_EQ(got.call_sites.size(), want.call_sites.size());
-  for (const auto& [addr, site] : want.call_sites) {
-    auto it = got.call_sites.find(addr);
-    ASSERT_NE(it, got.call_sites.end()) << "call site " << addr;
-    EXPECT_EQ(it->second.indirect, site.indirect) << "call site " << addr;
-    EXPECT_EQ(it->second.target, site.target) << "call site " << addr;
-    EXPECT_EQ(it->second.return_addr, site.return_addr) << "call site " << addr;
+  ASSERT_EQ(got.sites().size(), want.sites().size());
+  for (size_t i = 0; i < want.sites().size(); ++i) {
+    const cfa::Site& site = want.sites()[i];
+    EXPECT_EQ(got.sites()[i].pc, site.pc) << "site " << i;
+    EXPECT_EQ(got.sites()[i].kind, site.kind) << "site " << site.pc;
+    EXPECT_EQ(got.sites()[i].target, site.target) << "site " << site.pc;
+    EXPECT_EQ(got.sites()[i].return_addr, site.return_addr)
+        << "site " << site.pc;
   }
-  EXPECT_EQ(got.ret_addrs, want.ret_addrs);
-  EXPECT_EQ(got.reti_addrs, want.reti_addrs);
-  EXPECT_EQ(got.call_targets, want.call_targets);
-  EXPECT_EQ(got.isr_entries, want.isr_entries);
-  EXPECT_EQ(got.reset_entry, want.reset_entry);
+  EXPECT_TRUE(std::ranges::equal(got.call_targets(), want.call_targets()));
+  EXPECT_TRUE(std::ranges::equal(got.isr_entries(), want.isr_entries()));
+  EXPECT_EQ(got.reset_entry(), want.reset_entry());
 }
 
 // build_app extracts the app's CFG once, on every return path: plain,
@@ -400,7 +398,10 @@ TEST(BuildResultCfg, EveryBuildPathCarriesTheAppCfg) {
   EXPECT_EQ(builds[2].iterations.size(), 3u);
   for (const core::BuildResult& build : builds) {
     ASSERT_NE(build.cfg, nullptr);
-    EXPECT_FALSE(build.cfg->call_sites.empty());
+    EXPECT_TRUE(std::ranges::any_of(build.cfg->sites(), [](const cfa::Site& s) {
+      return s.kind == cfa::SiteKind::kCall ||
+             s.kind == cfa::SiteKind::kIndirectCall;
+    }));
     expect_same_cfg(*build.cfg, cfa::extract_cfg(build.app));
   }
 }

@@ -31,12 +31,9 @@ constexpr uint64_t kNonce = 0xF00DF00DF00DF00Dull;
 // rejection in the tests below is attributable to the tamper alone.
 struct Fixture {
   cfa::CfaMonitor monitor{test_key()};
-  cfa::Cfg cfg;
+  cfa::Cfg cfg{{{0xE010, cfa::SiteKind::kJump, 0xE020}}};
 
-  Fixture() {
-    cfg.jump_edges.insert(cfa::Cfg::edge(0xE010, 0xE020));
-    monitor.on_control_transfer(0xE010, 0xE020, 0xE012);
-  }
+  Fixture() { monitor.on_control_transfer(0xE010, 0xE020, 0xE012); }
 };
 
 // Found by the fuzzer at seed 0x1 (every seed reproduced it):
@@ -89,16 +86,16 @@ TEST(FuzzRegressions, MacCoversEveryHeaderField) {
 
   cfa::Report r = benign;
   r.seq += 1;
-  EXPECT_NE(cfa::CfaMonitor::mac_report(test_key(), kNonce, r), benign.mac);
+  EXPECT_NE(cfa::CfaMonitor::mac_report(crypto::HmacKey(test_key()), kNonce, r), benign.mac);
   r = benign;
   r.cycle += 1;
-  EXPECT_NE(cfa::CfaMonitor::mac_report(test_key(), kNonce, r), benign.mac);
+  EXPECT_NE(cfa::CfaMonitor::mac_report(crypto::HmacKey(test_key()), kNonce, r), benign.mac);
   r = benign;
   r.dropped += 1;
-  EXPECT_NE(cfa::CfaMonitor::mac_report(test_key(), kNonce, r), benign.mac);
-  EXPECT_NE(cfa::CfaMonitor::mac_report(test_key(), kNonce + 1, benign),
+  EXPECT_NE(cfa::CfaMonitor::mac_report(crypto::HmacKey(test_key()), kNonce, r), benign.mac);
+  EXPECT_NE(cfa::CfaMonitor::mac_report(crypto::HmacKey(test_key()), kNonce + 1, benign),
             benign.mac);
-  EXPECT_EQ(cfa::CfaMonitor::mac_report(test_key(), kNonce, benign),
+  EXPECT_EQ(cfa::CfaMonitor::mac_report(crypto::HmacKey(test_key()), kNonce, benign),
             benign.mac);
 }
 
