@@ -2,6 +2,7 @@
 
 #include "isa/cycles.h"
 #include "isa/registers.h"
+#include "sim/memory_map.h"
 
 namespace eilid::isa {
 
@@ -48,6 +49,31 @@ bool is_register_decrement(const Instruction& insn) {
          insn.dst.mode == AddrMode::kRegister && insn.dst.reg >= 4;
 }
 
+// An operand that names one peripheral register by address.
+bool is_peripheral_operand(const Operand& op) {
+  return (op.mode == AddrMode::kAbsolute || op.mode == AddrMode::kSymbolic) &&
+         static_cast<uint16_t>(op.value) <= sim::kPeriphEnd;
+}
+
+// An operand whose value cannot change from one loop iteration to the
+// next: an immediate, or a register the loop does not write. SR is
+// excluded because the test itself rewrites its flags.
+bool is_loop_invariant_operand(const Operand& op) {
+  return op.mode == AddrMode::kImmediate ||
+         (op.mode == AddrMode::kRegister && op.reg != kSR);
+}
+
+// `cmp`/`bit` (so `tst` too) of one peripheral register against a
+// loop-invariant operand: it reads that register, writes only the
+// flags, and sets all four of them from its two operands alone.
+bool is_peripheral_test(const Instruction& insn) {
+  if (insn.op != Opcode::kCmp && insn.op != Opcode::kBit) return false;
+  return (is_peripheral_operand(insn.src) &&
+          is_loop_invariant_operand(insn.dst)) ||
+         (is_peripheral_operand(insn.dst) &&
+          is_loop_invariant_operand(insn.src));
+}
+
 // Backward pass over one decoded range: each slot's run is its own
 // instruction plus the run of its fall-through slot, unless the
 // instruction is itself a hazard or the fall-through leaves the range.
@@ -87,9 +113,14 @@ void fill_block_suffixes(DecodedImage::RangeTable& table) {
     e.block_cycles = static_cast<uint16_t>(e.cycles + succ.block_cycles);
     e.target = succ.target;
     e.end = succ.end;
-    // A jnz successor is the block's terminator, so its target is ours.
-    e.counted_loop = succ.insn.op == Opcode::kJnz && e.target == pc &&
-                     is_register_decrement(e.insn);
+    // A jump successor is the block's terminator, so its target is
+    // ours: a two-instruction block that jumps back to its own head.
+    if (succ.format != Format::kJump || e.target != pc) continue;
+    if (succ.insn.op == Opcode::kJnz && is_register_decrement(e.insn)) {
+      e.loop = LoopKind::kCounted;
+    } else if (succ.insn.op != Opcode::kJmp && is_peripheral_test(e.insn)) {
+      e.loop = LoopKind::kPoll;
+    }
   }
 }
 

@@ -20,9 +20,17 @@
 // over every PC the hardware could ever reach, including ones static
 // analysis never names).
 //
-// A block that is exactly `dec rN; jnz <itself>` is additionally
-// marked Entry::counted_loop, so the block core can retire many of its
-// iterations at once instead of dispatching each one.
+// Two self-loop shapes are additionally marked in Entry::loop, so the
+// block core can retire many of their iterations at once instead of
+// dispatching each one:
+//   - kCounted: exactly `dec rN; jnz <itself>` (a delay loop);
+//   - kPoll: exactly a read-only test of one peripheral register
+//     (`cmp`/`bit`, so `tst` too, on an absolute or symbolic operand at
+//     or below sim::kPeriphEnd, the other operand a register other than
+//     SR or an immediate) and a conditional jump back to it (a
+//     busy-wait on a status register).
+// The mark only names the shape; every bound on a skip is checked at
+// run time (Cpu::run_block).
 //
 // Hazards that end a block (BlockEnd):
 //   - kTransfer: the terminator may set PC non-sequentially (jumps,
@@ -71,6 +79,13 @@ enum class BlockEnd : uint8_t {
   kLeadsIllegal,  // the slot after the terminator does not decode
 };
 
+// The self-loop this slot's block is, if any (see the header comment).
+enum class LoopKind : uint8_t {
+  kNone,
+  kCounted,  // `dec rN; jnz self`, rN in r4-r15, word mode
+  kPoll,     // peripheral-register `cmp`/`bit`; conditional jump to self
+};
+
 class DecodedImage {
  public:
   struct Entry {
@@ -90,12 +105,9 @@ class DecodedImage {
     // terminator kind, whose successor is the fall-through).
     uint16_t target = 0;
     BlockEnd end = BlockEnd::kNone;
-    // This slot's block is a counted delay loop: a word-mode
-    // `sub #1, rN` (`dec rN`, rN in r4-r15) followed by a `jnz` back
-    // to it, and nothing else. The block core retires such a loop's
-    // iterations in bulk (Cpu::run_block); the flag only names the
-    // shape, every bound on the skip is checked at run time.
-    bool counted_loop = false;
+    // This slot's block is a counted delay loop or a peripheral poll
+    // loop, whose iterations the block core retires in bulk.
+    LoopKind loop = LoopKind::kNone;
   };
 
   // Inclusive code region to predecode; `first`/`last` must be even.

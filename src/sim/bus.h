@@ -58,6 +58,23 @@ class Peripheral {
   static constexpr uint64_t kIrqNever = ~0ull;
   virtual uint64_t cycles_to_irq() const { return kIrqNever; }
 
+  // How long a busy-wait on register `addr` (one of this peripheral's,
+  // even) may be retired without asking: reads of `addr` have no side
+  // effect, and they return the value they return now until at least
+  // this many more cycles have been ticked (kNeverChanges: as long as
+  // no register is written and no host stimulus arrives, which both
+  // happen only outside such a wait). 0, the default, promises
+  // nothing -- right for any register whose read consumes state (a
+  // UART receive buffer) or whose value moves with time (a counter).
+  // The block core retires the poll loop's iterations whose reads land
+  // strictly before this horizon without re-reading (Cpu::run_block);
+  // it relies on tick() being additive, as the tick debt does.
+  static constexpr uint64_t kNeverChanges = ~0ull;
+  virtual uint64_t cycles_until_change(uint16_t addr) const {
+    (void)addr;
+    return 0;
+  }
+
   // Restore power-on state.
   virtual void reset() {}
 
@@ -91,6 +108,10 @@ class BusWatcher {
     (void)prev_pc;
     return true;
   }
+  // Data reads. Block dispatch asks once for a busy-wait's register
+  // and retires the wait's identical re-reads without asking again
+  // (see sim/monitor.h), so the verdict must depend on (addr, pc)
+  // alone; a watcher that needs every read must claim wants_step().
   virtual bool on_read(uint16_t addr, uint16_t pc) {
     (void)addr;
     (void)pc;
@@ -229,6 +250,13 @@ class Bus {
       horizon_dirty_ = false;
     }
     return horizon_cache_;
+  }
+  // Peripheral::cycles_until_change of the register that a CPU read
+  // of `addr` reaches, measured from the last tick flush; 0 for an
+  // address no peripheral claims.
+  uint64_t cycles_until_change(uint16_t addr) const {
+    const Peripheral* p = peripheral_at(addr & 0xFFFE);
+    return p != nullptr ? p->cycles_until_change(addr & 0xFFFE) : 0;
   }
   // Highest-priority asserted line, or -1. Cached: recomputed only
   // after something that can move an interrupt line (tick/ack/register

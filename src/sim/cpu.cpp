@@ -447,7 +447,7 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
     spent += uint64_t{k} * entry->block_cycles;
     steps += 2 * k;
   };
-  if (fetched && entry->counted_loop) skip_loop();
+  if (fetched && entry->loop == isa::LoopKind::kCounted) skip_loop();
   for (;;) {
     if (!fetched) {
       // Same contract as step(): nothing retires, no cycles, monitors
@@ -523,16 +523,29 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
       ++blocks_executed_;
       remaining = entry->span;
       if (crossed) fetched = bus_.notify_fetch(pc, last_pc);
-      if (fetched && entry->counted_loop) skip_loop();
+      if (fetched && entry->loop == isa::LoopKind::kCounted) skip_loop();
       continue;
     }
     // Interior instructions are sequential by construction (no control
     // transfer, no PC write), so the next pc is the fall-through and
     // the next decoded entry sits size_words slots ahead in the table.
+    const isa::DecodedImage::Entry& retired = *entry;
     pc = entry->next_address;
     entry += entry->size_words;
     if (bus_.code_generation() != generation) break;  // self-modifying store
-    if (bus_.periph_touched()) break;  // IRQ state may have moved
+    if (bus_.periph_touched()) {  // IRQ state may have moved
+      // A poll loop's test just read its register for real (the run
+      // ends here as after any register access): the iterations whose
+      // reads would see the same value retire at once.
+      if (retired.loop == isa::LoopKind::kPoll) {
+        const uint32_t k =
+            skip_poll_loop(retired, last_pc, breakpoint_pc, spent,
+                           cycle_budget, transfer_monitors);
+        spent += uint64_t{k} * retired.block_cycles;
+        steps += 2 * k;
+      }
+      break;
+    }
     if (pc == breakpoint_pc) break;    // host breakpoint pauses before it
     if (spent >= cycle_budget) break;  // run() budget exhausted
   }
@@ -550,6 +563,28 @@ BlockRun Cpu::run_block(uint16_t breakpoint_pc, uint64_t cycle_budget,
   return out;
 }
 
+uint64_t Cpu::skip_limit(uint64_t per_iteration, uint64_t spent,
+                         uint64_t cycle_budget) const {
+  // The chain stops at the first instruction that brings spent up to
+  // the budget, so every skipped one must end below it.
+  if (spent >= cycle_budget) return 0;
+  uint64_t k = (cycle_budget - spent - 1) / per_iteration;
+  if (gie()) {
+    // A pending line is delivered before the next instruction. Else
+    // the line that ticking asserts first does so on the tick that
+    // reaches the horizon, measured from the last flush, so the debt
+    // counts against it: the skipped iterations and the real one after
+    // them must all end below it, as the chain's commit check demands
+    // of every block.
+    if (bus_.pending_irq() >= 0) return 0;
+    const uint64_t horizon = bus_.cycles_until_irq();
+    const uint64_t debt = bus_.tick_debt();
+    if (horizon <= debt + per_iteration) return 0;
+    k = std::min(k, (horizon - debt - 1) / per_iteration - 1);
+  }
+  return k;
+}
+
 uint32_t Cpu::skip_counted_loop(const isa::DecodedImage::Entry& loop,
                                 uint16_t pc, uint16_t breakpoint_pc,
                                 uint64_t spent, uint64_t cycle_budget,
@@ -563,26 +598,52 @@ uint32_t Cpu::skip_counted_loop(const isa::DecodedImage::Entry& loop,
   uint16_t& counter = regs_[loop.insn.dst.reg];
   // Iterations left, this one included, are the counter's value (65536
   // when it is 0: the decrement wraps); the last one runs for real.
-  uint64_t k = counter == 0 ? 0xFFFF : counter - 1u;
-  // The chain stops at the first terminator that brings spent up to
-  // the budget, so every skipped iteration must end below it (the
-  // commit, or at run entry Machine::run's loop, proved
-  // spent < cycle_budget).
-  k = std::min(k, (cycle_budget - spent - 1) / per_iteration);
-  if (gie()) {
-    // The chain commits to a block only while no line is pending and
-    // the horizon exceeds the tick debt plus that block's cycles (as
-    // the commit just checked), so the k skipped iterations and the
-    // real one after them must all end below it.
-    const uint64_t headroom = bus_.cycles_until_irq() - bus_.tick_debt();
-    k = std::min(k, (headroom - 1) / per_iteration - 1);
-  }
+  const uint64_t k =
+      std::min<uint64_t>(counter == 0 ? 0xFFFF : counter - 1u,
+                         skip_limit(per_iteration, spent, cycle_budget));
   if (k == 0) return 0;
   counter = static_cast<uint16_t>(counter - k);
   instructions_retired_ += 2 * k;
   bus_.accrue_ticks(k * per_iteration);
   for (Monitor* m : transfer_monitors) {
     m->on_repeated_transfer(jnz_pc, pc, jnz.next_address,
+                            static_cast<uint32_t>(k));
+  }
+  return static_cast<uint32_t>(k);
+}
+
+uint32_t Cpu::skip_poll_loop(const isa::DecodedImage::Entry& test,
+                             uint16_t head, uint16_t breakpoint_pc,
+                             uint64_t spent, uint64_t cycle_budget,
+                             std::span<Monitor* const> transfer_monitors) {
+  const isa::DecodedImage::Entry& jcc = (&test)[test.size_words];
+  const uint16_t jcc_pc = test.next_address;
+  // The chain would stop before a breakpoint on either instruction.
+  if (breakpoint_pc == head || breakpoint_pc == jcc_pc) return 0;
+  if (!jump_taken(jcc.insn.op)) return 0;  // the wait is over
+  const isa::Operand& reg_op =
+      test.insn.src.mode == AddrMode::kAbsolute ||
+              test.insn.src.mode == AddrMode::kSymbolic
+          ? test.insn.src
+          : test.insn.dst;
+  // The read just flushed the tick debt, so the horizon counts from
+  // its own moment: iteration j re-reads j * block_cycles later.
+  const uint64_t horizon =
+      bus_.cycles_until_change(static_cast<uint16_t>(reg_op.value));
+  if (horizon == 0) return 0;
+  const uint64_t per_iteration = test.block_cycles;
+  // A wait that never ends is retired a bounded stretch at a time, so
+  // the run's instruction counts stay in range.
+  constexpr uint64_t kMaxSkip = 1u << 28;
+  const uint64_t k = std::min({(horizon - 1) / per_iteration, kMaxSkip,
+                               skip_limit(per_iteration, spent, cycle_budget)});
+  if (k == 0) return 0;
+  // The same value gives the same flags, so every skipped test is
+  // followed by the same taken jump back.
+  instructions_retired_ += 2 * k;
+  bus_.accrue_ticks(k * per_iteration);
+  for (Monitor* m : transfer_monitors) {
+    m->on_repeated_transfer(jcc_pc, head, jcc.next_address,
                             static_cast<uint32_t>(k));
   }
   return static_cast<uint32_t>(k);

@@ -82,11 +82,17 @@ class Cpu {
   //   - a terminator left PC outside the table, on an undecodable
   //     slot, in low-power mode, or where an interrupt could assert or
   //     deliver within the next block.
-  // Committing to a counted delay loop (`dec rN; jnz self`, see
-  // isa::DecodedImage::Entry::counted_loop) retires in O(1) as many of
-  // its iterations as the chain would have run anyway, then carries on
-  // chaining block by block, so the run stops exactly where it would
-  // have without the skip.
+  // Two loop shapes the decoded table marks (isa::LoopKind) retire in
+  // O(1) as many of their iterations as the chain would have run
+  // anyway, so the run stops exactly where it would have without the
+  // skip:
+  //   - committing to a counted delay loop (`dec rN; jnz self`) skips
+  //     ahead, then carries on chaining block by block;
+  //   - a poll loop's test that has just read its peripheral register
+  //     for real, with the live flags taking the jump back, skips every
+  //     further iteration whose read lands before the register can
+  //     change (Bus::cycles_until_change), then ends the run as any
+  //     register access does.
   // Monitor visibility is block-granular (see sim/monitor.h): the fetch
   // hook fires at run entry and on range crossings only, with the last
   // fetched PC as its predecessor, and every chained-past terminator
@@ -155,22 +161,39 @@ class Cpu {
   void push_word(uint16_t value);
   uint16_t pop_word();
 
+  // The bound both loop skips share: how many iterations of
+  // `per_iteration` cycles may retire at once, `spent` cycles into a run
+  // of `cycle_budget`. Every skipped instruction must end below the
+  // budget (spent + k * per_iteration < cycle_budget), and with GIE set
+  // no line may be pending and the interrupt horizon less the tick
+  // debt must clear the k iterations plus one real one after them.
+  uint64_t skip_limit(uint64_t per_iteration, uint64_t spent,
+                      uint64_t cycle_budget) const;
+
   // Retires the iterations of the counted delay loop `loop` (the
   // committed block at `pc`) that provably end in a taken `jnz` with
-  // nothing observable in between, and returns how many. Its bounds:
-  //   - the counter, leaving at least one real iteration, so the loop's
-  //     final flags come from a real `dec`;
-  //   - the run budget: spent + k * block_cycles < cycle_budget;
-  //   - with GIE set, the interrupt horizon less the tick debt must
-  //     still clear the real block that follows (the commit itself
-  //     ruled out a pending line);
-  //   - a breakpoint on the `jnz` allows no skip (one on the head
-  //     stopped the run before the commit).
-  // The skipped cycles are accrued as tick debt in one go.
+  // nothing observable in between, and returns how many: at most
+  // skip_limit, and the counter less one real iteration, so the loop's
+  // final flags come from a real `dec`. A breakpoint on the `jnz`
+  // allows no skip (one on the head stopped the run before the
+  // commit). The skipped cycles are accrued as tick debt in one go.
   uint32_t skip_counted_loop(const isa::DecodedImage::Entry& loop, uint16_t pc,
                              uint16_t breakpoint_pc, uint64_t spent,
                              uint64_t cycle_budget,
                              std::span<Monitor* const> transfer_monitors);
+
+  // Called right after the poll loop's test `test` at `head` retired
+  // with a real read of its register. When the live flags take the
+  // jump back, retires the k further (jump, test) pairs whose reads land
+  // strictly before the register's change horizon -- they read the
+  // same value, so they set the same flags -- and returns k: at most
+  // skip_limit, and none with a breakpoint on either instruction.
+  // `spent` already counts the real test. The skipped cycles are
+  // accrued as tick debt in one go.
+  uint32_t skip_poll_loop(const isa::DecodedImage::Entry& test, uint16_t head,
+                          uint16_t breakpoint_pc, uint64_t spent,
+                          uint64_t cycle_budget,
+                          std::span<Monitor* const> transfer_monitors);
 
   void exec_double(const isa::Instruction& insn);
   void exec_single(const isa::Instruction& insn, uint16_t insn_pc);

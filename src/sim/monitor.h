@@ -8,8 +8,9 @@
 // same chained block core (Cpu::run_block), and a monitor sees:
 //
 //   - bus hooks (on_read / on_write) on every data access, inside the
-//     block loop. A denial ends the run at that instruction, exactly
-//     where the per-instruction core would stop.
+//     block loop, except the reads of a skipped poll loop (below). A
+//     denial ends the run at that instruction, exactly where the
+//     per-instruction core would stop.
 //   - on_fetch at a run's first fetch and at every crossing between
 //     predecoded ranges (secure ROM, PMEM) -- see BusWatcher::on_fetch
 //     for why region rules cannot trip in between.
@@ -25,14 +26,20 @@
 //     hooks), because the chain does not stop to ask.
 //   - on_repeated_transfer(from, to, fallthrough, k) in place of k
 //     identical on_control_transfer calls, to the same monitors. The
-//     chain fires it when it commits to a counted delay loop
-//     (`dec rN; jnz self`, isa::DecodedImage::Entry::counted_loop) and
-//     retires k of its iterations at once: a skip is a case of
-//     chaining, k times past the loop's own `jnz`, taken only as far as
-//     every chain check (run budget, interrupt horizon, breakpoint)
-//     would have let the chain run anyway. The loop touches no memory,
-//     so no bus hook is owed in between. The default replays the k
-//     calls; a monitor that logs edges appends them in bulk.
+//     chain fires it when it retires k iterations of a marked loop
+//     (isa::LoopKind) at once: on committing to a counted delay loop
+//     (`dec rN; jnz self`), and right after a poll loop's test
+//     (`tst &ADC_STAT; jz self` and kin) read its peripheral register
+//     for real while the register provably holds its value
+//     (Bus::cycles_until_change). A skip is a case of chaining, k times
+//     past the loop's own jump, taken only as far as every chain check
+//     (run budget, interrupt horizon, breakpoint) would have let the
+//     chain run anyway. A delay loop touches no memory. A poll loop's
+//     skipped reads are not re-asked: on_read sees the real read only,
+//     so a watcher's read verdict must be a function of (addr, pc) --
+//     CASU's and EILID's are -- and a watcher that needs every read
+//     must be a Monitor claiming wants_step(). The default replays the
+//     k calls; a monitor that logs edges appends them in bulk.
 //   - on_step after *every* retired instruction, only on monitors that
 //     declare wants_step(). Any such monitor (tracers, AttackEngine's
 //     PC triggers, which need every fetch) pins the machine to

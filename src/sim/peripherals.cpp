@@ -129,6 +129,11 @@ bool Adc::tick(uint64_t cycles) {
   return false;  // the ADC has no interrupt line
 }
 
+uint64_t Adc::cycles_until_change(uint16_t addr) const {
+  (void)addr;
+  return busy_ ? remaining_ : kNeverChanges;
+}
+
 void Adc::reset() {
   mem_ = 0;
   busy_ = false;
@@ -242,6 +247,11 @@ bool Ultrasonic::tick(uint64_t cycles) {
     remaining_ -= cycles;
   }
   return false;  // the ranger has no interrupt line
+}
+
+uint64_t Ultrasonic::cycles_until_change(uint16_t addr) const {
+  (void)addr;
+  return busy_ ? remaining_ : kNeverChanges;
 }
 
 void Ultrasonic::reset() {

@@ -54,6 +54,8 @@ class Adc : public Peripheral {
   uint16_t read(uint16_t addr) override;
   void write(uint16_t addr, uint16_t value) override;
   bool tick(uint64_t cycles) override;
+  // Every register holds until the running conversion completes.
+  uint64_t cycles_until_change(uint16_t addr) const override;
   void reset() override;
   uint16_t first_addr() const override { return mmio::kAdcCtl; }
   uint16_t last_addr() const override { return mmio::kAdcStat; }
@@ -84,6 +86,11 @@ class GpioPort : public Peripheral {
   bool tick(uint64_t cycles) override {
     now_ += cycles;
     return false;
+  }
+  // Only a write or host stimulus moves a register.
+  uint64_t cycles_until_change(uint16_t addr) const override {
+    (void)addr;
+    return kNeverChanges;
   }
   void reset() override;
   uint16_t first_addr() const override { return in_addr_; }
@@ -151,6 +158,8 @@ class Ultrasonic : public Peripheral {
   uint16_t read(uint16_t addr) override;
   void write(uint16_t addr, uint16_t value) override;
   bool tick(uint64_t cycles) override;
+  // Every register holds until the ping in flight returns.
+  uint64_t cycles_until_change(uint16_t addr) const override;
   void reset() override;
   uint16_t first_addr() const override { return mmio::kUsTrig; }
   uint16_t last_addr() const override { return mmio::kUsStat; }
@@ -177,6 +186,10 @@ class Lcd : public Peripheral {
 
   uint16_t read(uint16_t addr) override;
   void write(uint16_t addr, uint16_t value) override;
+  uint64_t cycles_until_change(uint16_t addr) const override {
+    (void)addr;
+    return kNeverChanges;  // never busy
+  }
   void reset() override { stream_.clear(); }
   uint16_t first_addr() const override { return mmio::kLcdCmd; }
   uint16_t last_addr() const override { return mmio::kLcdData; }

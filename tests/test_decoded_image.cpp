@@ -3,9 +3,11 @@
 // and re-decode from memory with a bit-identical retired-instruction
 // trace), fleet-wide sharing of one table per build, the
 // off-the-top-of-memory decode fix, and which blocks are marked as
-// counted delay loops.
+// counted delay loops or peripheral poll loops.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -169,7 +171,7 @@ TEST(DecodedImage, ControlTransferFlagCoversEveryObservedTransfer) {
 
 // ------------------------------------------------ counted-loop marking
 
-// The interpretive statement of Entry::counted_loop: the bytes at `pc`
+// The interpretive statement of LoopKind::kCounted: the bytes at `pc`
 // decode to a word-mode `sub #1, rN` with rN in r4-r15, and the next
 // instruction, still at or below `last`, is a `jnz` back to `pc`.
 bool is_counted_loop(const std::vector<uint8_t>& flat, uint32_t pc,
@@ -206,9 +208,10 @@ TEST(DecodedImage, CountedLoopMarkingMatchesInterpretiveDecode) {
     for (uint32_t pc = sim::kPmemStart; pc <= 0xFFFE; pc += 2) {
       const auto* entry = build.decoded_image->lookup(static_cast<uint16_t>(pc));
       ASSERT_NE(entry, nullptr);
-      EXPECT_EQ(entry->counted_loop, is_counted_loop(flat, pc, 0xFFFE))
+      EXPECT_EQ(entry->loop == isa::LoopKind::kCounted,
+                is_counted_loop(flat, pc, 0xFFFE))
           << app.name << " pc " << pc;
-      if (entry->counted_loop) {
+      if (entry->loop == isa::LoopKind::kCounted) {
         ++marked;
         EXPECT_EQ(entry->span, 2) << app.name << " pc " << pc;
         EXPECT_EQ(entry->target, pc) << app.name << " pc " << pc;
@@ -223,21 +226,27 @@ TEST(DecodedImage, CountedLoopMarkingMatchesInterpretiveDecode) {
   EXPECT_GT(marked_total, 4u);
 }
 
-// Whether the slot at `loop` is marked, in the ROM-less build of
-// `body` (assembled at 0xE000), over the build's own ranges or -- when
-// `last` is nonzero -- over the single range [0xE000, last].
-bool marked_in(const std::string& body, uint16_t last = 0) {
+// The mark on the slot at `loop`, in the ROM-less build of `body`
+// (assembled at 0xE000), over the build's own ranges or -- when `last`
+// is nonzero -- over the single range [0xE000, last]. X is a RAM word,
+// S the ADC status register.
+isa::LoopKind loop_kind_in(const std::string& body, uint16_t last = 0) {
   core::BuildResult build = core::build_app(
-      ".equ X, 0x0300\n.org 0xE000\nmain:\n    mov #0x1000, r1\n" + body +
+      ".equ X, 0x0300\n.equ S, 0x0114\n.org 0xE000\nmain:\n"
+      "    mov #0x1000, r1\n" + body +
           "halt:\n    jmp halt\nelsewhere:\n    jmp halt\n"
           ".vector 15, main\n",
       "loop-shape", {.eilid = false});
   const uint16_t pc = build.app.symbols.at("loop");
-  if (last == 0) return build.decoded_image->lookup(pc)->counted_loop;
+  if (last == 0) return build.decoded_image->lookup(pc)->loop;
   const std::vector<uint8_t> flat = core::flat_memory(build);
   const isa::DecodedImage::Range range{0xE000, last};
   const isa::DecodedImage image(flat, std::span(&range, 1));
-  return image.lookup(pc)->counted_loop;
+  return image.lookup(pc)->loop;
+}
+
+bool marked_in(const std::string& body, uint16_t last = 0) {
+  return loop_kind_in(body, last) == isa::LoopKind::kCounted;
 }
 
 TEST(DecodedImage, OnlyRegisterCounterSelfLoopsAreMarked) {
@@ -268,6 +277,93 @@ TEST(DecodedImage, OnlyRegisterCounterSelfLoopsAreMarked) {
   const std::string self_loop = "loop:\n    dec r5\n    jnz loop\n";
   EXPECT_FALSE(marked_in(self_loop, /*last=*/0xE004));
   EXPECT_TRUE(marked_in(self_loop, /*last=*/0xE006));
+}
+
+// ------------------------------------------------- poll-loop marking
+
+// The Table IV apps' busy-waits on a peripheral status register, by
+// app: every one is marked kPoll, in the plain and in the instrumented
+// build, and no other slot of either build is.
+TEST(DecodedImage, OnlyPeripheralTestSelfLoopsAreMarkedPoll) {
+  const std::map<std::string, std::vector<std::string>> kPollHeads = {
+      {"light_sensor", {"ps_w"}},
+      {"ultrasonic_ranger", {"me_w"}},
+      {"fire_sensor", {"sa_w1", "sa_w2"}},
+      {"syringe_pump", {}},
+      {"temp_sensor", {"aw"}},
+      {"charlieplexing", {}},
+      {"lcd_sensor", {"aw"}},
+  };
+  size_t heads_total = 0;
+  for (const apps::AppSpec& app : apps::table4_apps()) {
+    for (bool eilid : {false, true}) {
+      const std::string tag = app.name + (eilid ? " instrumented" : " plain");
+      core::BuildResult build =
+          core::build_app(app.source, app.name, {.eilid = eilid});
+      std::set<uint16_t> expected;
+      for (const std::string& head : kPollHeads.at(app.name)) {
+        expected.insert(build.app.symbols.at(head));
+      }
+      std::set<uint16_t> marked;
+      for (uint32_t pc = 0; pc <= 0xFFFE; pc += 2) {
+        const auto* entry = build.decoded_image->lookup(static_cast<uint16_t>(pc));
+        if (entry == nullptr || entry->loop != isa::LoopKind::kPoll) continue;
+        marked.insert(static_cast<uint16_t>(pc));
+        EXPECT_EQ(entry->span, 2) << tag << " pc " << pc;
+        EXPECT_EQ(entry->target, pc) << tag << " pc " << pc;
+      }
+      EXPECT_EQ(marked, expected) << tag;
+      heads_total += expected.size();
+    }
+  }
+  EXPECT_EQ(heads_total, 12u);  // six heads, two builds each
+
+  using isa::LoopKind;
+  // Word and byte tests of a peripheral register, absolute or symbolic,
+  // against an immediate or a register, under every conditional jump.
+  for (const char* test :
+       {"tst &S", "tst.b &S", "bit #1, &S", "bit.b #1, &S", "cmp #0, &S",
+        "cmp #3, &S", "bit #0x8000, &S", "cmp r5, &S", "cmp &S, r5",
+        "bit &S, r15", "bit r0, &S", "tst S", "cmp.b S, r6",
+        "tst &0x01FE"}) {
+    for (const char* jump : {"jz", "jnz", "jc", "jnc", "jn", "jge", "jl"}) {
+      const std::string body = std::string("loop:\n    ") + test + "\n    " +
+                               jump + " loop\n";
+      EXPECT_EQ(loop_kind_in(body), LoopKind::kPoll) << body;
+    }
+  }
+  // Not a peripheral register: RAM, above the peripheral space, indexed
+  // or indirect operands (their address could move), or SR, which the
+  // test itself rewrites.
+  for (const char* test :
+       {"tst &X", "tst &0x0200", "tst 0(r5)", "tst 0x114(r4)",
+        "cmp @r5, r6", "cmp @r5+, r6", "cmp #0, 0(r5)", "cmp r2, &S",
+        "bit &S, r2", "cmp &S, &S"}) {
+    const std::string body =
+        std::string("loop:\n    ") + test + "\n    jz loop\n";
+    EXPECT_EQ(loop_kind_in(body), LoopKind::kNone) << body;
+  }
+  // Not a read-only test: a load, an ALU op that writes.
+  EXPECT_EQ(loop_kind_in("loop:\n    mov &S, r5\n    jz loop\n"),
+            LoopKind::kNone);
+  EXPECT_EQ(loop_kind_in("loop:\n    and &S, r5\n    jz loop\n"),
+            LoopKind::kNone);
+  EXPECT_EQ(loop_kind_in("loop:\n    add #0, &S\n    jz loop\n"),
+            LoopKind::kNone);
+  // An unconditional jump back, a jump elsewhere, a three-instruction
+  // loop (from either of its first two slots).
+  EXPECT_EQ(loop_kind_in("loop:\n    tst &S\n    jmp loop\n"),
+            LoopKind::kNone);
+  EXPECT_EQ(loop_kind_in("loop:\n    tst &S\n    jz elsewhere\n"),
+            LoopKind::kNone);
+  EXPECT_EQ(loop_kind_in("loop:\n    tst &S\n    nop\n    jz loop\n"),
+            LoopKind::kNone);
+  EXPECT_EQ(loop_kind_in("loop:\n    nop\n    tst &S\n    jz loop\n"),
+            LoopKind::kNone);
+  // A range that ends at the test: its jump lies outside the table.
+  const std::string wait = "loop:\n    tst &S\n    jz loop\n";
+  EXPECT_EQ(loop_kind_in(wait, /*last=*/0xE006), LoopKind::kNone);
+  EXPECT_EQ(loop_kind_in(wait, /*last=*/0xE008), LoopKind::kPoll);
 }
 
 TEST(Fleet, SessionsOfOneBuildShareOneDecodedImage) {

@@ -9,10 +9,11 @@
 // store into the currently executing block, an interrupt landing
 // mid-block, the decode boundary at the top of memory, an indirect
 // branch into the middle of another entry's run, counted delay loops
-// retired in bulk, and fleet-wide sharing of one immutable decoded
-// table per build.
+// and peripheral busy-waits retired in bulk, and fleet-wide sharing of
+// one immutable decoded table per build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <string>
@@ -672,6 +673,339 @@ halt:
       // skip at run entry plus the one real iteration that ends it.
       EXPECT_LT(runs[2].blocks, 40u) << tag;
       if (slice == 10000) EXPECT_EQ(runs[2].blocks, 1u) << tag;
+    }
+  }
+}
+
+// ----------------------------------------------- peripheral poll loops
+
+// One busy-wait: the test and the conditional jump back to it.
+struct PollForm {
+  const char* test;
+  const char* jump;
+};
+
+// ADC waits: for the done bit, or for the busy bit (ADC_CTL bit 15,
+// also read as the high byte at 0x0111) to clear.
+constexpr PollForm kAdcWaits[] = {
+    {"tst &ADC_STAT", "jz"},        {"tst.b &ADC_STAT", "jz"},
+    {"bit #1, &ADC_STAT", "jz"},    {"bit.b #1, &ADC_STAT", "jz"},
+    {"cmp #0, &ADC_STAT", "jeq"},   {"cmp r5, &ADC_STAT", "jeq"},
+    {"bit #0x8000, &ADC_CTL", "jnz"}, {"bit.b #0x80, &0x0111", "jnz"},
+};
+// Ranger waits: for the ready bit, in word, byte and symbolic reads.
+constexpr PollForm kRangerWaits[] = {
+    {"tst &US_STAT", "jz"},      {"tst.b &US_STAT", "jz"},
+    {"bit #1, &US_STAT", "jz"},  {"cmp #0, &US_STAT", "jeq"},
+    {"cmp #1, &US_STAT", "jnz"}, {"cmp &US_STAT, r5", "jeq"},
+    {"tst US_STAT", "jz"},
+};
+
+constexpr const char* kPollEqus =
+    ".equ TIMER_CTL, 0x0100\n.equ TIMER_CCR0, 0x0102\n"
+    ".equ TIMER_FLAGS, 0x0106\n.equ ADC_CTL, 0x0110\n.equ ADC_MEM, 0x0112\n"
+    ".equ ADC_STAT, 0x0114\n.equ P1IN, 0x0120\n.equ UART_RX, 0x0132\n"
+    ".equ US_TRIG, 0x0140\n.equ US_ECHO, 0x0142\n.equ US_STAT, 0x0144\n";
+
+// The timer prologue and ISR every poll program shares. With GIE on,
+// the timer interrupts the waits every `period` cycles and the ISR
+// folds the live loop count, the interrupted PC and the interrupted SR
+// into r12, r13 and r15, so every delivery point shows in the final
+// registers.
+std::string poll_program(unsigned period, bool gie, const std::string& body) {
+  return std::string(kPollEqus) + ".org 0xE000\nmain:\n" +
+         "    mov #0x1000, r1\n    clr r5\n"
+         "    mov #" + std::to_string(period) + ", &TIMER_CCR0\n"
+         "    mov #3, &TIMER_CTL\n" +
+         (gie ? "    eint\n" : "    nop\n") + body +
+         "    dint\nhalt:\n    jmp halt\n"
+         "timer_isr:\n    add r10, r12\n    add 2(r1), r13\n    add @r1, r15\n"
+         "    inc r14\n    clr &TIMER_FLAGS\n    reti\n"
+         ".vector 15, main\n.vector 8, timer_isr\n";
+}
+
+// `waits` rounds of an ADC conversion and a ranger ping, each waited
+// out by the given form, their results summed into r9. `pad` 1-cycle
+// `nop`s after the ADC trigger shift where the conversion's end falls
+// among the wait's reads (some pads put a read exactly on it).
+std::string sensor_waits(const PollForm& adc, const PollForm& ranger,
+                         unsigned waits, unsigned pad) {
+  std::string nops;
+  for (unsigned i = 0; i < pad; ++i) nops += "    nop\n";
+  return "    mov #" + std::to_string(waits) + ", r10\nagain:\n"
+         "    mov #0x101, &ADC_CTL\n" + nops + "adc_wait:\n    " + adc.test +
+         "\n    " +
+         adc.jump + " adc_wait\n    add &ADC_MEM, r9\n"
+         "    mov #1, &US_TRIG\nus_wait:\n    " + ranger.test + "\n    " +
+         ranger.jump + " us_wait\n    add &US_ECHO, r9\n"
+         "    dec r10\n    jnz again\n";
+}
+
+enum class PollStop : uint8_t { kNone, kHead, kJump };
+
+struct PollCase {
+  std::string source;
+  std::vector<const char*> heads;  // the wait loops' head symbols
+  const char* breakpoint_head;     // which head a breakpoint sits near
+  PollStop breakpoint;
+  uint64_t slice;        // run() budget per call
+  uint64_t cycle_limit;  // stop here if halt is never reached
+  std::vector<uint16_t> distances_mm;
+  std::string uart_rx;
+  std::string tag;
+};
+
+// The address of the jump that closes the wait loop at `head`.
+uint16_t jump_of(const DeviceSession& dev, uint16_t head) {
+  return dev.build().decoded_image->lookup(head)->next_address;
+}
+
+LoopRun run_poll_case(std::shared_ptr<const core::BuildResult> build,
+                      const PollCase& c, const Arm& arm) {
+  SessionOptions options = options_for(arm);
+  options.cfa.log_capacity = 1u << 18;  // never drops here
+  DeviceSession dev(std::string("poll-") + arm.name, build,
+                    EnforcementPolicy::kCfaBaseline, options);
+  pin_arm(arm, dev);
+  sim::Machine& m = dev.machine();
+  m.adc().set_channel_series(1, {11, 222, 3333});
+  m.ranger().set_distances_mm(c.distances_mm);
+  m.uart().feed(c.uart_rx);
+  std::vector<uint16_t> loop_pcs;
+  for (const char* head : c.heads) {
+    loop_pcs.push_back(dev.symbol(head));
+    loop_pcs.push_back(jump_of(dev, dev.symbol(head)));
+  }
+  const uint16_t halt = dev.symbol("halt");
+  LoopRun out;
+  if (c.breakpoint != PollStop::kNone) {
+    const uint16_t head = dev.symbol(c.breakpoint_head);
+    const uint16_t bp =
+        c.breakpoint == PollStop::kHead ? head : jump_of(dev, head);
+    // Stop at the breakpoint, retire one instruction past it, repeat.
+    for (int hit = 0; hit < 3; ++hit) {
+      m.run_until(bp, 5000);
+      out.breakpoint_stops.push_back(capture(m));
+      m.run(1);
+    }
+  }
+  while (m.cpu().pc() != halt && m.cycles() < c.cycle_limit) {
+    m.run_until(halt, c.slice);
+    if (std::find(loop_pcs.begin(), loop_pcs.end(), m.cpu().pc()) !=
+        loop_pcs.end()) {
+      ++out.mid_loop_stops;
+    }
+  }
+  out.final_state = capture(m);
+  cfa::CfaMonitor& monitor = *dev.cfa_monitor();
+  out.total_edges = monitor.total_edges();
+  cfa::Report report = monitor.take_report(0x9011, m.cycles());
+  out.edges = std::move(report.edges);
+  out.dropped = report.dropped;
+  out.mac = report.mac;
+  out.blocks = m.blocks_executed();
+  out.decode_hits = m.cpu().decode_cache_hits();
+  return out;
+}
+
+// Taken jumps back to a wait loop's head: its iterations less one.
+size_t poll_iterations(const LoopRun& run,
+                       const std::shared_ptr<const core::BuildResult>& build,
+                       const PollCase& c) {
+  size_t edges = 0;
+  for (const char* head : c.heads) {
+    const uint16_t pc = build->app.symbols.at(head);
+    const uint16_t jump = build->decoded_image->lookup(pc)->next_address;
+    for (const cfa::LoggedEdge& e : run.edges) {
+      if (e.from == jump && e.to == pc && !e.irq) ++edges;
+    }
+  }
+  return edges;
+}
+
+// Busy-waits on a peripheral register retire in bulk, invisibly: ADC
+// and ranger waits in every test form (word and byte, absolute and
+// symbolic, wait-for-set and wait-for-clear), with a timer interrupt
+// landing mid-wait under GIE or pending behind GIE off, a breakpoint
+// on a loop head, on its jump or none, and run() slices that are never
+// a multiple of one iteration's 6 or 7 cycles (some shorter than one
+// iteration). Two registers must not be skipped on: the UART receive
+// buffer, whose read consumes a byte, and P1IN, which never changes, so
+// its wait lasts until the budget runs out. All three arms end in the
+// same registers, SR, cycles, retired count, resets, breakpoint stops
+// and CFA evidence. And the plain superblock arm really skipped: on
+// long waits, fewer blocks than wait iterations.
+TEST(Superblock, PollLoopAgreesAcrossArms) {
+  common::SeededRng rng(0x9011F00D);
+  auto slice = [&rng] {
+    if (rng.below(6) == 0) return 1 + rng.below(5);  // under one iteration
+    uint64_t s = 64 + rng.below(1900);
+    while (s % 6 == 0 || s % 7 == 0) ++s;
+    return s;
+  };
+  auto distances = [&rng] {
+    return std::vector<uint16_t>{static_cast<uint16_t>(rng.below(1500)),
+                                 static_cast<uint16_t>(rng.below(1500))};
+  };
+  const char* const kHeads[] = {"adc_wait", "us_wait"};
+  constexpr PollStop kStops[] = {PollStop::kNone, PollStop::kHead,
+                                 PollStop::kJump};
+  std::vector<PollCase> cases;
+  auto add_sensor_case = [&](const PollForm& adc, const PollForm& ranger,
+                             bool gie, PollStop stop) {
+    const unsigned period = static_cast<unsigned>(60 + rng.below(600));
+    const unsigned waits = static_cast<unsigned>(1 + rng.below(3));
+    const unsigned pad = static_cast<unsigned>(rng.below(7));
+    PollCase c{poll_program(period, gie,
+                            sensor_waits(adc, ranger, waits, pad)),
+               {"adc_wait", "us_wait"}, kHeads[rng.below(2)], stop, slice(),
+               2'000'000, distances(), "", ""};
+    c.tag = std::string(adc.test) + " / " + ranger.test + " period " +
+            std::to_string(period) + " pad " + std::to_string(pad) +
+            (gie ? " gie" : " no-gie") + " bp " +
+            std::to_string(static_cast<int>(stop)) + " near " +
+            c.breakpoint_head + " slice " + std::to_string(c.slice);
+    cases.push_back(std::move(c));
+  };
+  for (const PollForm& adc : kAdcWaits) {
+    for (bool gie : {true, false}) {
+      add_sensor_case(adc, kRangerWaits[rng.below(std::size(kRangerWaits))],
+                      gie, kStops[rng.below(3)]);
+    }
+  }
+  for (const PollForm& ranger : kRangerWaits) {
+    for (bool gie : {true, false}) {
+      add_sensor_case(kAdcWaits[rng.below(std::size(kAdcWaits))], ranger, gie,
+                      kStops[rng.below(3)]);
+    }
+  }
+  // The UART receive buffer: 40 zero bytes, then the one that ends the
+  // wait. Every read consumes one, so no read may be skipped.
+  for (const char* test : {"tst &UART_RX", "tst.b &UART_RX"}) {
+    for (bool gie : {true, false}) {
+      const unsigned period = static_cast<unsigned>(60 + rng.below(600));
+      PollCase c{poll_program(period, gie,
+                              std::string("rx_wait:\n    ") + test +
+                                  "\n    jz rx_wait\n    mov r9, r9\n"),
+                 {"rx_wait"}, "rx_wait", kStops[rng.below(3)], slice(),
+                 2'000'000, {100}, std::string(40, '\0') + "A", ""};
+      c.tag = std::string(test) + (gie ? " gie" : " no-gie") + " slice " +
+              std::to_string(c.slice);
+      cases.push_back(std::move(c));
+    }
+  }
+  // P1IN never changes: the wait ends only with the cycle limit.
+  for (bool gie : {true, false}) {
+    for (uint64_t s : {uint64_t{3}, slice(), uint64_t{20011}}) {
+      const unsigned period = static_cast<unsigned>(60 + rng.below(600));
+      PollCase c{poll_program(period, gie,
+                              "p1_wait:\n    tst.b &P1IN\n    jz p1_wait\n"),
+                 {"p1_wait"}, "p1_wait", PollStop::kNone, s, 60'000, {100},
+                 "", ""};
+      c.tag = std::string("p1in") + (gie ? " gie" : " no-gie") + " slice " +
+              std::to_string(s);
+      cases.push_back(std::move(c));
+    }
+  }
+
+  size_t mid_loop_stops = 0;
+  size_t skip_checked = 0;
+  for (const PollCase& c : cases) {
+    auto build = std::make_shared<const core::BuildResult>(
+        core::build_app(c.source, "poll-case", {.eilid = false}));
+    for (const char* head : c.heads) {
+      ASSERT_EQ(build->decoded_image->lookup(build->app.symbols.at(head))->loop,
+                isa::LoopKind::kPoll)
+          << c.tag << " " << head;
+    }
+    std::vector<LoopRun> runs;
+    for (const Arm& arm : kArms) runs.push_back(run_poll_case(build, c, arm));
+    EXPECT_EQ(runs[1], runs[0]) << c.tag;
+    EXPECT_EQ(runs[2], runs[0]) << c.tag;
+    EXPECT_EQ(runs[0].dropped, 0u) << c.tag;
+    EXPECT_EQ(runs[0].blocks, 0u) << c.tag;
+    EXPECT_EQ(runs[1].blocks, 0u) << c.tag;
+    EXPECT_EQ(runs[1].decode_hits, runs[1].final_state.retired) << c.tag;
+    EXPECT_EQ(runs[2].decode_hits, runs[2].final_state.retired) << c.tag;
+    mid_loop_stops += runs[0].mid_loop_stops;
+    const size_t iterations = poll_iterations(runs[0], build, c);
+    if (c.heads[0] == std::string("rx_wait")) {
+      // Never skipped: every iteration's jump back is its own block.
+      EXPECT_EQ(iterations, 40u) << c.tag;
+      EXPECT_GE(runs[2].blocks, iterations) << c.tag;
+    } else if (iterations >= 64 && c.slice >= 64) {
+      EXPECT_LT(runs[2].blocks, iterations) << c.tag;
+      ++skip_checked;
+    }
+  }
+  EXPECT_GT(mid_loop_stops, 0u);
+  EXPECT_GT(skip_checked, cases.size() / 2);
+}
+
+// The CFA log fills in the middle of a poll skip. The device is stopped
+// at the head of a ranger wait just after the ping, its log drained, so
+// the first loop edge lands in an empty log and the bulk append must
+// keep exactly `capacity` edges, drop the rest and count every one of
+// them -- in one skip (one budget for the whole wait) and across
+// several (a budget of 100 cycles per run()).
+TEST(Superblock, CfaLogFillingMidPollSkipMatchesPerStep) {
+  auto build = build_of(R"(.equ US_TRIG, 0x0140
+.equ US_ECHO, 0x0142
+.equ US_STAT, 0x0144
+.org 0xE000
+main:
+    mov #0x1000, r1
+    mov #1, &US_TRIG
+wait:
+    tst &US_STAT
+    jz wait
+    mov &US_ECHO, r9
+halt:
+    jmp halt
+.vector 15, main
+)");
+  for (size_t capacity : {1u, 5u, 17u}) {
+    for (uint64_t slice : {10000u, 100u}) {
+      const std::string tag = "capacity " + std::to_string(capacity) +
+                              " slice " + std::to_string(slice);
+      std::vector<LoopRun> runs;
+      for (const Arm& arm : kArms) {
+        SessionOptions options = options_for(arm);
+        options.cfa.log_capacity = capacity;
+        DeviceSession dev(std::string("poll-fill-") + arm.name, build,
+                          EnforcementPolicy::kCfaBaseline, options);
+        pin_arm(arm, dev);
+        sim::Machine& m = dev.machine();
+        cfa::CfaMonitor& monitor = *dev.cfa_monitor();
+        dev.run_to_symbol("wait", 1000);
+        monitor.take_report(1, m.cycles());  // the power-on marker
+        const uint64_t blocks_before = m.blocks_executed();
+        while (m.cpu().pc() != dev.symbol("halt")) {
+          dev.run_to_symbol("halt", slice);
+        }
+        LoopRun run;
+        run.final_state = capture(m);
+        run.total_edges = monitor.total_edges();
+        cfa::Report report = monitor.take_report(2, m.cycles());
+        run.edges = std::move(report.edges);
+        run.dropped = report.dropped;
+        run.mac = report.mac;
+        run.blocks = m.blocks_executed() - blocks_before;
+        runs.push_back(std::move(run));
+      }
+      EXPECT_EQ(runs[1], runs[0]) << tag;
+      EXPECT_EQ(runs[2], runs[0]) << tag;
+      // The ping of the default 1000 mm flies 100 + 4 * 1000 cycles from
+      // the trigger write; the 4-cycle `mov` that wrote it, then 6-cycle
+      // iterations, put the first ready read at iteration 683. So 683
+      // taken jumps after the power-on marker.
+      EXPECT_EQ(runs[0].total_edges, 684u) << tag;
+      EXPECT_EQ(runs[0].edges.size(), capacity) << tag;
+      EXPECT_EQ(runs[0].dropped, 683u - capacity) << tag;
+      // The superblock arm skipped: far fewer blocks than iterations
+      // (about four per 100-cycle slice, a handful for the whole wait).
+      EXPECT_LT(runs[2].blocks, 200u) << tag;
+      if (slice == 10000) EXPECT_LT(runs[2].blocks, 8u) << tag;
     }
   }
 }
