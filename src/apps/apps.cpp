@@ -990,27 +990,15 @@ WorkloadOutcome run_workload(DeviceSession& session, const AppSpec& app,
   return out;
 }
 
-namespace {
-
-// The one body behind run_workload_all and wave_workload: each item's
-// workload under its session lock, serially (null pool) or pooled,
-// outcomes in input order.
-std::vector<WorkloadOutcome> run_each(const std::vector<FleetWorkload>& items,
-                                      common::ThreadPool* pool) {
+std::vector<WorkloadOutcome> run_workload_all(
+    const std::vector<FleetWorkload>& items, common::ThreadPool& pool) {
   std::vector<WorkloadOutcome> outcomes(items.size());
-  common::for_each_index(pool, items.size(), [&](size_t i) {
+  pool.parallel_for(items.size(), [&](size_t i) {
     const FleetWorkload& item = items[i];
     std::lock_guard<std::mutex> lock(item.session->mutex());
     outcomes[i] = run_workload(*item.session, *item.app, item.cycle_budget);
   });
   return outcomes;
-}
-
-}  // namespace
-
-std::vector<WorkloadOutcome> run_workload_all(
-    const std::vector<FleetWorkload>& items, common::ThreadPool& pool) {
-  return run_each(items, &pool);
 }
 
 eilid::WaveProbe wave_workload(const AppSpec& app, uint64_t cycle_budget) {
@@ -1024,7 +1012,7 @@ eilid::WaveProbe wave_workload(const AppSpec& app, uint64_t cycle_budget) {
     for (DeviceSession* session : wave) {
       items.push_back({session, &spec, cycle_budget});
     }
-    run_each(items, pool);
+    run_workload_all(items, *pool);
   };
 }
 

@@ -72,22 +72,23 @@ struct FleetWorkload {
   uint64_t cycle_budget = 0;  // 0: 8x the spec's budget
 };
 
-// Drive a whole fleet concurrently: every item's workload runs on the
-// pool (sessions must be distinct), each session locked via
-// DeviceSession::mutex() for the duration so a concurrent attestation
-// sweep never observes a device mid-run. Outcomes are returned in
-// input order; the first exception any workload throws is rethrown.
+// Drive a whole fleet over `pool` (sessions must be distinct), each
+// session locked via DeviceSession::mutex() for the duration so a
+// concurrent attestation sweep never observes a device mid-run. The
+// serial pool runs the items in input order; either way outcomes are
+// returned in input order, and the first exception any workload
+// throws is rethrown.
 std::vector<WorkloadOutcome> run_workload_all(
-    const std::vector<FleetWorkload>& items, common::ThreadPool& pool);
+    const std::vector<FleetWorkload>& items,
+    common::ThreadPool& pool = common::ThreadPool::serial());
 
 // Rollout-wave probe: drives `app` on every device of a wave between
 // the wave's apply and its attestation gate, so freshly updated
-// devices produce post-update evidence for the gate to judge. Takes
-// each session's mutex() while driving it (per the WaveProbe
-// contract); with a pool the wave fans out like run_workload_all(),
-// serially each device runs in membership order -- either way the
-// devices' resulting state is identical. The spec is copied into the
-// probe, so a temporary AppSpec is safe to pass.
+// devices produce post-update evidence for the gate to judge. Runs
+// the wave through run_workload_all() over the scheduler's pool, so
+// each session's mutex() is held while it is driven (per the
+// WaveProbe contract). The spec is copied into the probe, so a
+// temporary AppSpec is safe to pass.
 eilid::WaveProbe wave_workload(const AppSpec& app, uint64_t cycle_budget = 0);
 
 }  // namespace eilid::apps

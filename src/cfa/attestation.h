@@ -70,8 +70,9 @@ class CfaMonitor : public sim::Monitor {
   bool wants_step() const override { return false; }
   void on_control_transfer(uint16_t from_pc, uint16_t to_pc,
                            uint16_t fallthrough) override;
-  // A skipped counted delay loop's k identical edges, appended in bulk
-  // under the same full-log rule as a single edge.
+  // The k identical edges of a marked loop the core retired at once
+  // (a counted delay loop or a peripheral poll loop; sim/monitor.h),
+  // appended in bulk under the same full-log rule as a single edge.
   void on_repeated_transfer(uint16_t from_pc, uint16_t to_pc,
                             uint16_t fallthrough, uint32_t count) override;
   void on_interrupt(int vector_index, uint16_t from_pc, uint16_t to_pc) override;

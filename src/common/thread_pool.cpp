@@ -17,6 +17,11 @@ ThreadPool::ThreadPool(size_t workers) {
   }
 }
 
+ThreadPool& ThreadPool::serial() {
+  static ThreadPool pool{Serial{}};
+  return pool;
+}
+
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -50,6 +55,11 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
+  if (workers_.empty()) {
+    // The serial pool: no queue, no locks, nothing shared.
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   if (n == 0) return;
 
   // One chunky task per worker; each claims indices until none remain.
@@ -92,15 +102,6 @@ void ThreadPool::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
   std::unique_lock<std::mutex> lock(sweep.mu);
   sweep.done_cv.wait(lock, [&sweep] { return sweep.tasks_left == 0; });
   if (sweep.first_error) std::rethrow_exception(sweep.first_error);
-}
-
-void for_each_index(ThreadPool* pool, size_t n,
-                    const std::function<void(size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->parallel_for(n, fn);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) fn(i);
 }
 
 }  // namespace eilid::common

@@ -15,9 +15,11 @@
 // exactly N workers) and rethrows the first exception a work item
 // threw. The destructor drains the queue before joining.
 //
-// for_each_index() is the one body for code that runs either serially
-// or pooled: with a null pool it runs fn(0) .. fn(n-1) in index order
-// on the calling thread, otherwise it is parallel_for().
+// ThreadPool::serial() is the process-wide pool with no workers: its
+// parallel_for() runs fn(0) .. fn(n-1) in index order on the calling
+// thread. Every fleet operation takes a `ThreadPool& pool =
+// ThreadPool::serial()` parameter, so one body serves the serial and
+// the pooled run alike.
 #ifndef EILID_COMMON_THREAD_POOL_H
 #define EILID_COMMON_THREAD_POOL_H
 
@@ -40,6 +42,12 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  // The pool with no workers (worker_count() == 0): parallel_for runs
+  // fn(0) .. fn(n-1) in index order on the calling thread and stops at
+  // the first exception, rethrowing it. It holds no mutable state, so
+  // any number of threads may use it at once, and it is reentrant.
+  static ThreadPool& serial();
+
   size_t worker_count() const { return workers_.size(); }
 
   // Run fn(0) .. fn(n-1) across the workers and block until all have
@@ -47,10 +55,14 @@ class ThreadPool {
   // interleaves but every index runs exactly once. If any invocation
   // throws, the remaining unclaimed indices are abandoned and the
   // first exception is rethrown here. Not reentrant: must not be
-  // called from inside a pool task of the same pool.
+  // called from inside a pool task of the same pool (the serial pool
+  // excepted).
   void parallel_for(size_t n, const std::function<void(size_t)>& fn);
 
  private:
+  struct Serial {};
+  explicit ThreadPool(Serial) {}
+
   // Enqueue one task; tasks run in FIFO order across the workers.
   void submit(std::function<void()> task);
   void worker_loop();
@@ -61,12 +73,6 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
-
-// fn(0) .. fn(n-1): in index order on the calling thread when `pool` is
-// null, else pool->parallel_for(n, fn). Either way the first exception
-// fn throws propagates to the caller.
-void for_each_index(ThreadPool* pool, size_t n,
-                    const std::function<void(size_t)>& fn);
 
 }  // namespace eilid::common
 

@@ -52,44 +52,46 @@ std::vector<VerifierService::Target> VerifierService::all_targets() const {
   return targets;
 }
 
-std::vector<VerifierService::Target> VerifierService::subset_targets(
+std::vector<VerifierService::Target> VerifierService::resolve_each(
     const std::vector<DeviceSession*>& sessions) const {
-  std::vector<DeviceSession*> ordered;
-  ordered.reserve(sessions.size());
   for (DeviceSession* session : sessions) {
     if (session == nullptr) {
-      throw FleetError("verifier: subset sweep over a null session");
-    }
-    ordered.push_back(session);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const DeviceSession* a, const DeviceSession* b) {
-              return a->id() < b->id();
-            });
-  for (size_t i = 1; i < ordered.size(); ++i) {
-    if (ordered[i - 1]->id() == ordered[i]->id()) {
-      throw FleetError("verifier: subset sweep lists device id '" +
-                       ordered[i]->id() + "' twice");
+      throw FleetError("verifier: null session");
     }
   }
-  // Resolve every member before draining any, so a refused session
-  // leaves the whole subset's evidence where it was.
   std::vector<Target> targets;
-  targets.reserve(ordered.size());
+  targets.reserve(sessions.size());
   std::lock_guard<std::mutex> lock(fleet_.devices_mu_);
-  for (DeviceSession* session : ordered) {
+  for (DeviceSession* session : sessions) {
     targets.push_back(resolve_locked(*session));
   }
   return targets;
 }
 
-bool VerifierService::stage_cfg_swap(DeviceSession& session) {
-  Books* books = resolve(session).books;
-  std::shared_ptr<const cfa::Cfg> cfg = session.build().cfg;
-  if (books == nullptr || cfg == nullptr) return false;
-  // The caller holds session.mutex(), which is exactly the lock that
-  // guards the books' replay verifier.
-  books->verifier.queue_cfg_swap(std::move(cfg));
+std::vector<VerifierService::Target> VerifierService::subset_targets(
+    const std::vector<DeviceSession*>& sessions) const {
+  // Resolve every member before draining any, so a refused session
+  // leaves the whole subset's evidence where it was.
+  std::vector<Target> targets = resolve_each(sessions);
+  std::sort(targets.begin(), targets.end(),
+            [](const Target& a, const Target& b) {
+              return a.session->id() < b.session->id();
+            });
+  for (size_t i = 1; i < targets.size(); ++i) {
+    if (targets[i - 1].session->id() == targets[i].session->id()) {
+      throw FleetError("verifier: subset sweep lists device id '" +
+                       targets[i].session->id() + "' twice");
+    }
+  }
+  return targets;
+}
+
+bool VerifierService::stage_cfg_swap(const Target& target) {
+  std::shared_ptr<const cfa::Cfg> cfg = target.session->build().cfg;
+  if (target.books == nullptr || cfg == nullptr) return false;
+  // The caller holds the session's mutex, which is exactly the lock
+  // that guards the books' replay verifier.
+  target.books->verifier.queue_cfg_swap(std::move(cfg));
   return true;
 }
 
@@ -141,34 +143,25 @@ VerifierService::AttestResult VerifierService::judge(const Target& target,
 }
 
 std::vector<VerifierService::AttestResult> VerifierService::sweep(
-    const std::vector<Target>& targets, common::ThreadPool* pool) {
+    const std::vector<Target>& targets, common::ThreadPool& pool) {
   // Results land by index: pooled workers interleave, but the output
   // order is deterministic and the verdicts match the serial sweep
   // because each device's evidence, replay state and sequence window
   // are private to it.
   std::vector<AttestResult> out(targets.size());
-  common::for_each_index(pool, targets.size(),
-                         [&](size_t i) { out[i] = judge(targets[i], 0); });
+  pool.parallel_for(targets.size(),
+                    [&](size_t i) { out[i] = judge(targets[i], 0); });
   return out;
-}
-
-std::vector<VerifierService::AttestResult> VerifierService::verify_all() {
-  return sweep(all_targets(), nullptr);
 }
 
 std::vector<VerifierService::AttestResult> VerifierService::verify_all(
     common::ThreadPool& pool) {
-  return sweep(all_targets(), &pool);
-}
-
-std::vector<VerifierService::AttestResult> VerifierService::verify_all(
-    const std::vector<DeviceSession*>& sessions) {
-  return sweep(subset_targets(sessions), nullptr);
+  return sweep(all_targets(), pool);
 }
 
 std::vector<VerifierService::AttestResult> VerifierService::verify_all(
     const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool) {
-  return sweep(subset_targets(sessions), &pool);
+  return sweep(subset_targets(sessions), pool);
 }
 
 // ------------------------------------------------------------------

@@ -70,7 +70,17 @@
 // Concurrency model
 // -----------------
 // The fleet engine is built to be driven from a thread pool
-// (common::ThreadPool); the contract is:
+// (common::ThreadPool). Every fleet operation -- verify_all,
+// roll_out, CampaignScheduler::run, the schedulers' run_until and
+// apps::run_workload_all -- has one signature whose last parameter is
+// `common::ThreadPool& pool = common::ThreadPool::serial()`. The
+// serial pool runs the operation's per-device work in order on the
+// calling thread; a worker pool fans it out. Either way the result is
+// the same, field for field: per-device results land by index, each
+// device's outcome depends only on its own state, and every decision
+// that spans devices is taken on the calling thread. The tests hold
+// every operation to this (pooled == serial). The rest of the
+// contract is:
 //
 //   Thread-safe (internally synchronized):
 //     - Fleet::build()/provision()/deploy(): the build cache is
@@ -101,31 +111,31 @@
 //     - UpdateCampaign::apply_to()/roll_out(): each device updates
 //       under its own session lock (diff cache shared, internally
 //       locked), so a pooled rollout, a concurrent attestation sweep
-//       and concurrent workload drivers interleave per device; the
-//       pooled rollout's outcomes are identical to the serial one's.
+//       and concurrent workload drivers interleave per device. Every
+//       session is resolved to its registry entry before any is
+//       updated, so a foreign session is refused with nothing applied.
 //       The CFG epoch is staged while the device's lock is still held,
 //       so a sweep can never drain an update marker the verifier has
 //       not been told about.
-//     - CampaignScheduler::run(pool): wave applies, probes, gate
-//       sweeps, soak re-sweeps and halt rollbacks all ride the
-//       per-device locks above; the pooled run's report is
-//       bit-identical to the serial run()'s. The scheduler object
-//       itself is not shared across threads -- one run at a time per
-//       scheduler.
+//     - CampaignScheduler::run(): wave applies, probes, gate sweeps,
+//       soak re-sweeps and halt rollbacks all ride the per-device
+//       locks above. The scheduler object itself is not shared across
+//       threads -- one run at a time per scheduler.
 //     - IncrementalVerifier::run_until() (src/eilid/incremental.h):
 //       windowed attestation rounds drain bounded slices under the
 //       same per-device session locks as verify_all, so a rolling window
 //       interleaves safely with heartbeat sweeps, rollouts and workload
-//       drivers; the pooled window's folded summaries are bit-identical
-//       to the serial window's AND to a barrier verify_all over the
-//       same evidence. One run_until at a time per verifier object
-//       (summaries() may be read concurrently).
+//       drivers; the window's folded summaries are bit-identical to a
+//       barrier verify_all over the same evidence. One run_until at a
+//       time per verifier object (summaries() may be read
+//       concurrently).
 //     - HeartbeatScheduler::run_until()/HealthMonitor::run_until():
 //       heartbeat beats take the same per-device locks as a verify_all
 //       subset sweep, so they interleave safely with a rollout;
 //       remediation holds the device's session lock across its
-//       reflash and funnels its re-update through
-//       UpdateCampaign::apply_to(), the same lock an in-flight
+//       reflash and funnels its re-update through the campaign's
+//       per-device apply (on the slot's resolved entry, so a heal
+//       takes no registry lock), the same lock an in-flight
 //       campaign takes -- so healing a device can never race a
 //       campaign mid-update on that device. FleetClock is atomic and
 //       monotonic (advance_to never moves time backwards). Like the
@@ -170,153 +180,16 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "crypto/hmac.h"
 #include "eilid/clock.h"
 #include "eilid/session.h"
 #include "eilid/update.h"
+#include "eilid/verifier.h"
 
 namespace eilid {
 
 class CampaignScheduler;
-class Fleet;
-template <typename T>
-struct CfaBooks;
 struct RolloutPlan;
-
-// Verifier half of the CFA baseline, fleet-wide: attests every
-// kCfaBaseline device of its fleet against that device's own MAC key,
-// challenge nonce and stateful path replay, so one device's compromise
-// (or power cycle) never perturbs another's attestation history. The
-// per-device books live in the fleet's registry entry for the device;
-// the service itself holds no device list of its own.
-class VerifierService {
- public:
-  struct AttestResult {
-    std::string device_id;
-    bool attested = false;  // false: session has no CFA monitor, so no
-                            // report could be collected (mac/seq/path
-                            // are meaningless and left false)
-    uint32_t seq = 0;
-    uint64_t cycle = 0;     // device cycle at report emission
-    Tick tick = 0;          // fleet time at verification -- the
-                            // freshness primitive: health monitoring
-                            // judges *when* evidence last verified, not
-                            // just whether it did
-    bool mac_ok = false;
-    bool seq_ok = false;   // report sequence number was the expected one
-    bool path_ok = false;  // replayed log stayed inside the CFG
-    size_t edges = 0;
-    uint32_t dropped = 0;  // evidence lost to on-device log overflow
-    std::optional<cfa::LoggedEdge> first_bad;
-    // Edges still held on-device after this drain: 0 after an
-    // unbounded drain; a bounded attest(session, max_edges) leaves the
-    // remainder for the next slice. Tells a caught-up device from one
-    // mid-drain.
-    size_t remaining = 0;
-
-    bool ok() const { return attested && mac_ok && seq_ok && path_ok; }
-
-    // Field-wise equality: the rollout determinism gates (pooled wave
-    // gate == serial wave gate) compare whole verdicts, so a new field
-    // is covered automatically.
-    bool operator==(const AttestResult&) const = default;
-  };
-
-  // Challenge one device now: fresh nonce, drain at most `max_edges`
-  // edges of its log (0 = everything), check MAC + sequence + path.
-  // Every verdict the service issues -- sweeps included -- comes from
-  // this one body. Replay state persists across calls, so a sequence of
-  // bounded slices replays exactly the evidence one full drain would,
-  // in order, and a hijack is convicted at the same edge (see
-  // eilid::IncrementalVerifier, which schedules slices). A fleet
-  // session with no CFA monitor is not an error -- there is simply no
-  // evidence to collect -- so the result comes back with attested =
-  // false (ok() false). Throws eilid::FleetError, draining nothing,
-  // when `session` is not the fleet's registry entry for its id.
-  AttestResult attest(DeviceSession& session, size_t max_edges = 0);
-
-  // Batched sweep over every kCfaBaseline device, in device-id order.
-  // The overload fans the sweep out across the pool's workers with
-  // per-device locking; its results are identical to the serial sweep
-  // (same verdicts, same id order) because every device's replay state
-  // and sequence window are independent and nonces only feed the
-  // per-report MAC.
-  std::vector<AttestResult> verify_all();
-  std::vector<AttestResult> verify_all(common::ThreadPool& pool);
-
-  // Subset sweep: attest exactly `sessions` (a rollout wave, a canary
-  // cohort) instead of every device -- devices outside the subset are
-  // not swept, so a wave gate never drains evidence from devices still
-  // on the old build. Results come back in device-id order regardless
-  // of the input order, matching the whole-fleet sweep's contract, and
-  // each attestation takes the device's session mutex, so a subset
-  // sweep interleaves safely with a concurrent full sweep or workload
-  // driver. A session with no CFA monitor yields an attested = false
-  // entry (never ok()). Throws eilid::FleetError, before draining any
-  // device, on a null session, a duplicate device id, or a session
-  // that is not the fleet's registry entry for its id. The pooled
-  // overload fans out with per-device locking and returns results
-  // identical to the serial subset sweep.
-  std::vector<AttestResult> verify_all(
-      const std::vector<DeviceSession*>& sessions);
-  std::vector<AttestResult> verify_all(
-      const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool);
-
-  // Sanction the code change `session` just logged: stage a replay-CFG
-  // swap to the CFG of the session's *current* build (BuildResult::cfg,
-  // shared by every device of that build), taking effect when the
-  // device's evidence stream reaches its update marker. Caller must
-  // hold session.mutex() (UpdateCampaign does). Returns false -- and
-  // stages nothing -- for a session with no CFA monitor or one whose
-  // build carries no CFG. Throws eilid::FleetError when `session` is
-  // not the fleet's registry entry for its id.
-  bool stage_cfg_swap(DeviceSession& session);
-
- private:
-  friend class Fleet;
-  template <typename T>
-  friend struct CfaBooks;  // judges its slots' resolved targets
-
-  // The verifier's books for one kCfaBaseline device, held in the
-  // device's registry entry and guarded by its session mutex.
-  struct Books {
-    cfa::CfaVerifier verifier;
-    uint32_t expected_seq = 0;
-  };
-  explicit VerifierService(Fleet& fleet) : fleet_(fleet) {}
-
-  // Fresh books replaying against `build`'s own CFG (shared read-only
-  // by every device of the build). Throws when the build has none.
-  static Books open_books(const std::string& device_id,
-                          const core::BuildResult& build,
-                          const crypto::Digest& attest_key);
-  // A session resolved to its registry entry: `books` is null for a
-  // device with no CFA monitor.
-  struct Target {
-    DeviceSession* session = nullptr;
-    Books* books = nullptr;
-  };
-
-  // The registry entry behind `session`; throws when it is not the
-  // fleet's entry for its id. _locked: caller holds devices_mu_.
-  Target resolve(DeviceSession& session) const;
-  Target resolve_locked(DeviceSession& session) const;
-  std::vector<Target> all_targets() const;  // kCfaBaseline, id order
-  // A validated subset in id order: throws on a null session, a
-  // duplicate id or a session that resolve() refuses.
-  std::vector<Target> subset_targets(
-      const std::vector<DeviceSession*>& sessions) const;
-  // The verdict body: drain and judge one resolved device.
-  AttestResult judge(const Target& target, size_t max_edges);
-  // The one sweep body behind every verify_all overload: judge each of
-  // the id-ordered `targets`, serially (null pool) or pooled.
-  std::vector<AttestResult> sweep(const std::vector<Target>& targets,
-                                  common::ThreadPool* pool);
-
-  Fleet& fleet_;
-  std::atomic<uint64_t> nonce_counter_{1};
-};
 
 struct FleetOptions {
   // Master key provisioned at manufacture; per-device attestation keys

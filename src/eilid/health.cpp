@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/error.h"
 #include "common/rng.h"
 
 namespace eilid {
@@ -11,7 +12,9 @@ namespace eilid {
 
 HeartbeatScheduler::HeartbeatScheduler(Fleet& fleet, HeartbeatOptions options)
     : fleet_(&fleet), options_(options) {
-  if (options_.period == 0) options_.period = 1;
+  if (options_.period == 0) {
+    throw FleetError("heartbeat scheduler: period must be nonzero");
+  }
 }
 
 Tick HeartbeatScheduler::phase_for(const std::string& device_id) const {
@@ -23,17 +26,8 @@ Tick HeartbeatScheduler::phase_for(const std::string& device_id) const {
   return static_cast<Tick>(rng.below(options_.jitter + 1));
 }
 
-HeartbeatReport HeartbeatScheduler::run_until(Tick deadline) {
-  return run(deadline, nullptr);
-}
-
 HeartbeatReport HeartbeatScheduler::run_until(Tick deadline,
                                               common::ThreadPool& pool) {
-  return run(deadline, &pool);
-}
-
-HeartbeatReport HeartbeatScheduler::run(Tick deadline,
-                                        common::ThreadPool* pool) {
   FleetClock& clock = fleet_->clock();
   HeartbeatReport report;
   report.from = clock.now();
@@ -94,7 +88,7 @@ HeartbeatReport HeartbeatScheduler::run(Tick deadline,
     // Verdicts land by index, so the pooled beat is bit-identical to
     // the serial one (each device's evidence and books are private).
     beat.verdicts.resize(online.size());
-    common::for_each_index(pool, online.size(), [&](size_t i) {
+    pool.parallel_for(online.size(), [&](size_t i) {
       beat.verdicts[i] = Books::judge(*fleet_, *online[i]);
     });
 
@@ -201,15 +195,6 @@ std::vector<QuarantineEntry> HealthMonitor::quarantined() const {
   return out;
 }
 
-HealthReport HealthMonitor::run_until(Tick deadline) {
-  return run(deadline, nullptr);
-}
-
-HealthReport HealthMonitor::run_until(Tick deadline,
-                                      common::ThreadPool& pool) {
-  return run(deadline, &pool);
-}
-
 RemediationOutcome HealthMonitor::remediate_one(
     const HeartbeatScheduler::Books::Slot& slot, Tick now) {
   DeviceSession& session = *slot.target.session;
@@ -234,7 +219,7 @@ RemediationOutcome HealthMonitor::remediate_one(
   // Re-update half: the ordinary campaign lifecycle (fresh epoch
   // marker, replay-CFG swap, per-device lock inside). kAlreadyCurrent
   // is a success -- a stale-but-current device just needed the reset.
-  out.update = remediation_->apply_to(session);
+  out.update = remediation_->apply(slot.target);
   // Prove the heal: an immediate attestation. The reset marker logged
   // by reflash() clears the verifier's replay stacks, so pre-reset
   // evidence (including what convicted the device) cannot taint this
@@ -244,9 +229,10 @@ RemediationOutcome HealthMonitor::remediate_one(
   return out;
 }
 
-HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
+HealthReport HealthMonitor::run_until(Tick deadline,
+                                      common::ThreadPool& pool) {
   HealthReport report;
-  report.heartbeats = scheduler_.run(deadline, pool);
+  report.heartbeats = scheduler_.run_until(deadline, pool);
   const Tick now = fleet_->clock().now();
   const uint32_t max_attempts = options_.policy.max_heal_attempts;
   auto& slots = scheduler_.books_.slots;
@@ -281,7 +267,7 @@ HealthReport HealthMonitor::run(Tick deadline, common::ThreadPool* pool) {
   // bit-identical to the serial one (each device's outcome depends on
   // its own state alone; the clock does not advance mid-pass).
   report.remediations.resize(to_remediate.size());
-  common::for_each_index(pool, to_remediate.size(), [&](size_t i) {
+  pool.parallel_for(to_remediate.size(), [&](size_t i) {
     report.remediations[i] = remediate_one(*to_remediate[i], now);
   });
 

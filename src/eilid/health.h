@@ -43,17 +43,18 @@
 //   // stale/convicted devices are already quarantined, reset,
 //   // re-updated and re-attested -- report says exactly what healed.
 //
-// Concurrency contract: run_until(pool) fans each beat's verdicts and the
-// remediation pass out with the same per-device DeviceSession::mutex()
-// locking as VerifierService::verify_all and UpdateCampaign::apply_to;
-// its HealthReport is bit-identical to the serial run_until()'s, and
-// repeated runs at the same seed and clock schedule are bit-identical
-// to each other. Remediation can never race an in-flight campaign on a
-// device: both funnel through UpdateCampaign::apply_to, which holds the
-// device's session mutex from package verification through CFG-epoch
-// staging, so the two updates serialize per device and each one's
-// outcome is decided entirely under the lock. A scheduler/monitor
-// object itself is single-driver: one run_until at a time.
+// Concurrency contract: run_until fans each beat's verdicts and the
+// remediation pass out over its pool (the fleet-wide pool contract in
+// eilid/fleet.h) with the same per-device DeviceSession::mutex()
+// locking as VerifierService::verify_all and UpdateCampaign::apply_to,
+// and repeated runs at the same seed and clock schedule are
+// bit-identical to each other. Remediation can never race an in-flight
+// campaign on a device: both funnel through the campaign's per-device
+// apply, which holds the device's session mutex from package
+// verification through CFG-epoch staging, so the two updates
+// serialize per device and each one's outcome is decided entirely
+// under the lock. A scheduler/monitor object itself is single-driver:
+// one run_until at a time.
 #ifndef EILID_EILID_HEALTH_H
 #define EILID_EILID_HEALTH_H
 
@@ -177,11 +178,10 @@ class HeartbeatScheduler {
 
   // Advance fleet time to `deadline`, firing every due heartbeat on the
   // way in deterministic (tick, device-id) order. Each beat judges the
-  // online due devices in id order, as a verifier subset sweep would
-  // (per-device locking; the pooled overload fans the verdicts out and
-  // returns a bit-identical report), and updates the freshness records.
-  HeartbeatReport run_until(Tick deadline);
-  HeartbeatReport run_until(Tick deadline, common::ThreadPool& pool);
+  // online due devices in id order over `pool`, as a verifier subset
+  // sweep would (per-device locking), and updates the freshness records.
+  HeartbeatReport run_until(
+      Tick deadline, common::ThreadPool& pool = common::ThreadPool::serial());
 
   // Snapshot of every watched device's record, sorted by device id.
   std::vector<FreshnessRecord> records() const;
@@ -189,10 +189,8 @@ class HeartbeatScheduler {
   const HeartbeatOptions& options() const { return options_; }
 
  private:
-  // Drives run() with its own pool choice and keeps its per-device
-  // state in the scheduler's slots.
+  // Keeps its per-device state in the scheduler's slots.
   friend class HealthMonitor;
-  HeartbeatReport run(Tick deadline, common::ThreadPool* pool);
   Tick phase_for(const std::string& device_id) const;
   // Fold a successful remediation into the record: the device just
   // produced a clean verdict at `tick`, so its freshness restarts (the
@@ -283,9 +281,9 @@ class HealthMonitor {
   // Advance fleet time to `deadline`: heartbeats fire on cadence,
   // stale/convicted devices enter quarantine, and every quarantined
   // device gets one remediation attempt (when a campaign is staged).
-  // The pooled overload returns a bit-identical report.
-  HealthReport run_until(Tick deadline);
-  HealthReport run_until(Tick deadline, common::ThreadPool& pool);
+  // Beats and remediations fan out over `pool`.
+  HealthReport run_until(
+      Tick deadline, common::ThreadPool& pool = common::ThreadPool::serial());
 
   // Stage the campaign remediation re-updates devices with (normally
   // Fleet::stage_update onto the fleet's golden build). Until one is
@@ -299,7 +297,6 @@ class HealthMonitor {
   const HealthOptions& options() const { return options_; }
 
  private:
-  HealthReport run(Tick deadline, common::ThreadPool* pool);
   RemediationOutcome remediate_one(const HeartbeatScheduler::Books::Slot& slot,
                                    Tick now);
 

@@ -40,17 +40,7 @@ IncrementalVerifier::IncrementalVerifier(Fleet& fleet,
 }
 
 IncrementalVerifier::WindowReport IncrementalVerifier::run_until(
-    Tick deadline) {
-  return run(deadline, nullptr);
-}
-
-IncrementalVerifier::WindowReport IncrementalVerifier::run_until(
     Tick deadline, common::ThreadPool& pool) {
-  return run(deadline, &pool);
-}
-
-IncrementalVerifier::WindowReport IncrementalVerifier::run(
-    Tick deadline, common::ThreadPool* pool) {
   FleetClock& clock = fleet_->clock();
   WindowReport report;
   report.from = clock.now();
@@ -78,8 +68,8 @@ IncrementalVerifier::WindowReport IncrementalVerifier::run(
 
     // Resume the cyclic id-order walk strictly after the cursor. The
     // cursor advances past *examined* devices, not just sliced ones, so
-    // a run of offline devices cannot stall the rotation. Only run()
-    // changes the books, so walking them needs no lock.
+    // a run of offline devices cannot stall the rotation. Only
+    // run_until() changes the books, so walking them needs no lock.
     auto& slots = books_.slots;
     const size_t budget = options_.max_devices_per_tick == 0
                               ? slots.size()
@@ -99,7 +89,7 @@ IncrementalVerifier::WindowReport IncrementalVerifier::run(
     // one (per-device evidence and replay state are private; each
     // verdict takes the device's own lock).
     round.slices.resize(picked.size());
-    common::for_each_index(pool, picked.size(), [&](size_t i) {
+    pool.parallel_for(picked.size(), [&](size_t i) {
       round.slices[i] = Books::judge(*fleet_, *picked[i], max_edges_per_slice_);
     });
     {

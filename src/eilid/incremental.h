@@ -27,12 +27,11 @@
 //     bit-identical summary (tests/test_fleet_scale.cpp gates this on
 //     a mixed-policy fleet, serial and pooled).
 //
-// Concurrency contract: run_until(pool) fans each round's slices out
-// with the same per-device DeviceSession::mutex() locking as
+// Concurrency contract: run_until fans each round's slices out over
+// its pool (the fleet-wide pool contract in eilid/fleet.h) with the
+// same per-device DeviceSession::mutex() locking as
 // VerifierService::verify_all, so rounds interleave safely with
-// heartbeat sweeps, rollouts and workload drivers; the pooled report
-// is bit-identical to the serial one (slices are written by round
-// index; each device's evidence and replay state are private to it).
+// heartbeat sweeps, rollouts and workload drivers.
 // Like the other schedulers, the object itself is single-driver: one
 // run_until at a time, though summaries() may be read concurrently.
 #ifndef EILID_EILID_INCREMENTAL_H
@@ -120,16 +119,15 @@ class IncrementalVerifier {
 
   // Advance fleet time to `deadline`, firing a round every `period`
   // ticks on the way: rotate to the next max_devices_per_tick online
-  // devices, drain at most max_bytes_per_slice from each (the same
-  // verdict body, per-device locks and replay state as the barrier
-  // sweeps and VerifierService::attest(session, max_edges)),
-  // and fold every verdict into the per-device summaries. The pooled
-  // overload returns a bit-identical report. If another scheduler
-  // advanced the clock past the pending round between calls, the
-  // cadence re-anchors at the current tick (no backlog of degenerate
-  // rounds is replayed).
-  WindowReport run_until(Tick deadline);
-  WindowReport run_until(Tick deadline, common::ThreadPool& pool);
+  // devices, drain at most max_bytes_per_slice from each over `pool`
+  // (the same verdict body, per-device locks and replay state as the
+  // barrier sweeps and VerifierService::attest(session, max_edges)),
+  // and fold every verdict into the per-device summaries. If another
+  // scheduler advanced the clock past the pending round between
+  // calls, the cadence re-anchors at the current tick (no backlog of
+  // degenerate rounds is replayed).
+  WindowReport run_until(
+      Tick deadline, common::ThreadPool& pool = common::ThreadPool::serial());
 
   // Folded summaries of the watched devices the rotation has reached,
   // sorted by device id. A decommissioned device's summary is pruned at
@@ -139,15 +137,13 @@ class IncrementalVerifier {
   const IncrementalOptions& options() const { return options_; }
 
  private:
-  WindowReport run(Tick deadline, common::ThreadPool* pool);
-
   Fleet* fleet_;
   IncrementalOptions options_;
   // The per-slice edge budget max_bytes_per_slice implies (0 when
   // unbounded).
   const size_t max_edges_per_slice_;
 
-  // Only run() changes the books; it takes mu_ to do so, and so do
+  // Only run_until() changes the books; it takes mu_ to do so, and so do
   // the concurrent readers.
   mutable std::mutex mu_;
   using Books = CfaBooks<AttestSummary>;

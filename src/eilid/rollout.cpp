@@ -108,7 +108,7 @@ CampaignScheduler::Resolved CampaignScheduler::resolve() const {
 }
 
 void CampaignScheduler::for_each_in_flight(
-    size_t n, common::ThreadPool* pool,
+    size_t n, common::ThreadPool& pool,
     const std::function<void(size_t)>& fn) const {
   // Rate limit: at most max_in_flight devices mid-update at once --
   // the indices are fed to the pool in chunks. Chunking only changes
@@ -116,12 +116,12 @@ void CampaignScheduler::for_each_in_flight(
   // own state alone), so pooled stays outcome-identical to serial.
   const size_t limit = plan_.max_in_flight == 0 ? n : plan_.max_in_flight;
   for (size_t base = 0; base < n; base += limit) {
-    common::for_each_index(pool, std::min(limit, n - base),
-                           [&](size_t i) { fn(base + i); });
+    pool.parallel_for(std::min(limit, n - base),
+                      [&](size_t i) { fn(base + i); });
   }
 }
 
-RolloutReport CampaignScheduler::execute(common::ThreadPool* pool) {
+RolloutReport CampaignScheduler::run(common::ThreadPool& pool) {
   const Resolved resolved = resolve();
   FleetClock& clock = fleet_->clock();
   RolloutReport report;
@@ -164,11 +164,9 @@ RolloutReport CampaignScheduler::execute(common::ThreadPool* pool) {
     if (plan_.soak_ticks > 0) {
       // Immediate post-apply sweep: the update itself must already
       // attest clean before the wave earns its soak window.
-      wave.soak_gate = pool == nullptr
-                           ? fleet_->verifier().verify_all(members)
-                           : fleet_->verifier().verify_all(members, *pool);
+      wave.soak_gate = fleet_->verifier().verify_all(members, pool);
     }
-    if (plan_.probe) plan_.probe(members, pool);
+    if (plan_.probe) plan_.probe(members, &pool);
     if (plan_.soak_ticks > 0) {
       // Soak: let the probed (new) firmware age for soak_ticks of
       // fleet time, then re-sweep. Evidence produced *since* the first
@@ -178,9 +176,7 @@ RolloutReport CampaignScheduler::execute(common::ThreadPool* pool) {
       clock.advance(plan_.soak_ticks);
       wave.soaked_until = clock.now();
     }
-    wave.gate = pool == nullptr
-                    ? fleet_->verifier().verify_all(members)
-                    : fleet_->verifier().verify_all(members, *pool);
+    wave.gate = fleet_->verifier().verify_all(members, pool);
     wave.gated_tick = clock.now();
 
     // A device fails its wave on a rejected/refused update or a
@@ -221,7 +217,7 @@ void CampaignScheduler::roll_back(
     const std::vector<std::vector<DeviceSession*>>& waves,
     const std::map<DeviceSession*,
                    std::shared_ptr<const core::BuildResult>>& prior_builds,
-    common::ThreadPool* pool) {
+    common::ThreadPool& pool) {
   report.rolled_back = true;
   report.rollback_tick = fleet_->clock().now();
 
@@ -259,12 +255,6 @@ void CampaignScheduler::roll_back(
       wave.rolled_back.push_back(rollback.build_swapped);
     }
   }
-}
-
-RolloutReport CampaignScheduler::run() { return execute(nullptr); }
-
-RolloutReport CampaignScheduler::run(common::ThreadPool& pool) {
-  return execute(&pool);
 }
 
 }  // namespace eilid

@@ -51,13 +51,13 @@
 //   auto report = fleet.plan_rollout(v2, plan).run(pool);
 //   if (report.halted) { /* canary burned; the fleet rolled back */ }
 //
-// Concurrency contract: run(pool) applies updates, probes and gates
-// over the pool with the same per-device locking as
-// UpdateCampaign::roll_out() and VerifierService::verify_all(); its
-// report is bit-identical to the serial run()'s -- wave membership is
-// resolved up front from the plan and the registry snapshot, every
-// per-device outcome depends only on that device's own state, and the
-// halt decision is a pure function of the per-wave verdicts.
+// Concurrency contract: run() applies updates, probes and gates over
+// its pool (the fleet-wide pool contract in eilid/fleet.h) with the
+// same per-device locking as UpdateCampaign::roll_out() and
+// VerifierService::verify_all(). Wave membership is resolved up front
+// from the plan and the registry snapshot, and the halt decision is a
+// pure function of the per-wave verdicts, so the pool never changes
+// the report.
 #ifndef EILID_EILID_ROLLOUT_H
 #define EILID_EILID_ROLLOUT_H
 
@@ -110,8 +110,9 @@ struct HoldSpec {
 
 // Runs between a wave's apply and its attestation gate -- normally a
 // workload driver (see apps::wave_workload) so freshly updated devices
-// produce post-update evidence for the gate to judge. `pool` is null
-// on a serial run. The probe must take each session's mutex() while
+// produce post-update evidence for the gate to judge. `pool` is the
+// pool the scheduler runs on and is never null (the serial pool on a
+// serial run). The probe must take each session's mutex() while
 // driving it (apps::wave_workload does).
 using WaveProbe =
     std::function<void(const std::vector<DeviceSession*>&,
@@ -122,7 +123,7 @@ struct RolloutPlan {
   FailureBudget budget;
   std::vector<HoldSpec> holds;
   // Max devices being updated at once within a wave (0 = no limit
-  // beyond the pool's width). Serial runs are inherently 1-in-flight.
+  // beyond the pool's width). The serial pool is 1-in-flight anyway.
   size_t max_in_flight = 0;
   WaveProbe probe;  // optional
   // Soak window: after a wave applies (and passes its immediate
@@ -194,8 +195,9 @@ class CampaignScheduler {
   const RolloutPlan& plan() const { return plan_; }
   const UpdateCampaign& campaign() const { return campaign_; }
 
-  RolloutReport run();
-  RolloutReport run(common::ThreadPool& pool);
+  // Execute the plan, fanning wave applies, probes, gates and
+  // rollbacks out over `pool` (see the concurrency contract above).
+  RolloutReport run(common::ThreadPool& pool = common::ThreadPool::serial());
 
  private:
   friend class Fleet;
@@ -206,11 +208,9 @@ class CampaignScheduler {
     std::vector<std::string> held;
   };
   Resolved resolve() const;
-  RolloutReport execute(common::ThreadPool* pool);
-  // fn(0) .. fn(n-1) via common::for_each_index, in chunks of at most
-  // max_in_flight indices: the one fan-out both wave applies and
-  // rollbacks ride.
-  void for_each_in_flight(size_t n, common::ThreadPool* pool,
+  // fn(0) .. fn(n-1) over `pool`, in chunks of at most max_in_flight
+  // indices: the one fan-out both wave applies and rollbacks ride.
+  void for_each_in_flight(size_t n, common::ThreadPool& pool,
                           const std::function<void(size_t)>& fn) const;
   // Reverse every swapped device in `touched` (session -> the build it
   // ran before its wave) back onto that prior build, filling each
@@ -220,7 +220,7 @@ class CampaignScheduler {
       const std::vector<std::vector<DeviceSession*>>& waves,
       const std::map<DeviceSession*,
                      std::shared_ptr<const core::BuildResult>>& prior_builds,
-      common::ThreadPool* pool);
+      common::ThreadPool& pool);
 
   Fleet* fleet_;
   UpdateCampaign campaign_;

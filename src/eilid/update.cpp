@@ -71,7 +71,9 @@ casu::UpdatePackage UpdateCampaign::package_for(DeviceSession& session) {
   return package_locked(session, *state.diff);
 }
 
-UpdateOutcome UpdateCampaign::apply_locked(DeviceSession& session) {
+UpdateOutcome UpdateCampaign::apply(const VerifierService::Target& target) {
+  DeviceSession& session = *target.session;
+  std::lock_guard<std::mutex> lock(session.mutex());
   UpdateOutcome out;
   out.device_id = session.id();
   out.version_before = session.firmware_version();
@@ -158,43 +160,32 @@ UpdateOutcome UpdateCampaign::apply_locked(DeviceSession& session) {
   // never drain the epoch marker before the new CFG is staged for it.
   session.adopt_build(target_);
   out.build_swapped = true;
-  out.cfg_staged = fleet_->verifier().stage_cfg_swap(session);
+  out.cfg_staged = VerifierService::stage_cfg_swap(target);
   if (options_.power_cycle) session.power_cycle();
   return out;
 }
 
 UpdateOutcome UpdateCampaign::apply_to(DeviceSession& session) {
-  std::lock_guard<std::mutex> lock(session.mutex());
-  return apply_locked(session);
-}
-
-std::vector<UpdateOutcome> UpdateCampaign::apply_all(
-    const std::vector<DeviceSession*>& sessions, common::ThreadPool* pool) {
-  // Outcomes land by input index: pooled workers interleave, but the
-  // output is deterministic -- each device's package, version and
-  // verdict depend only on that device's own state.
-  std::vector<UpdateOutcome> out(sessions.size());
-  common::for_each_index(pool, sessions.size(),
-                         [&](size_t i) { out[i] = apply_to(*sessions[i]); });
-  return out;
-}
-
-std::vector<UpdateOutcome> UpdateCampaign::roll_out() {
-  return apply_all(fleet_->sessions(), nullptr);
+  // Resolve first: a foreign session is refused before anything is
+  // applied to it.
+  return apply(fleet_->verifier().resolve(session));
 }
 
 std::vector<UpdateOutcome> UpdateCampaign::roll_out(common::ThreadPool& pool) {
-  return apply_all(fleet_->sessions(), &pool);
-}
-
-std::vector<UpdateOutcome> UpdateCampaign::roll_out(
-    const std::vector<DeviceSession*>& sessions) {
-  return apply_all(sessions, nullptr);
+  return roll_out(fleet_->sessions(), pool);
 }
 
 std::vector<UpdateOutcome> UpdateCampaign::roll_out(
     const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool) {
-  return apply_all(sessions, &pool);
+  const std::vector<VerifierService::Target> targets =
+      fleet_->verifier().resolve_each(sessions);
+  // Outcomes land by input index: pooled workers interleave, but the
+  // output is deterministic -- each device's package, version and
+  // verdict depend only on that device's own state.
+  std::vector<UpdateOutcome> out(targets.size());
+  pool.parallel_for(targets.size(),
+                    [&](size_t i) { out[i] = apply(targets[i]); });
+  return out;
 }
 
 }  // namespace eilid

@@ -48,6 +48,7 @@
 #include "common/thread_pool.h"
 #include "eilid/session.h"
 #include "eilid/transport.h"
+#include "eilid/verifier.h"
 
 namespace eilid {
 
@@ -140,8 +141,7 @@ struct CampaignOptions {
 // by Fleet::stage_update(); cheap to copy (copies share the diff
 // cache). Thread-safe: apply_to() takes the per-device session mutex,
 // so a pooled roll_out() and a concurrent attestation sweep interleave
-// per device without racing, and the pooled rollout's outcomes are
-// identical to the serial one's, in input order.
+// per device without racing (the pool contract is in eilid/fleet.h).
 class UpdateCampaign {
  public:
   const std::shared_ptr<const core::BuildResult>& target_build() const {
@@ -158,21 +158,26 @@ class UpdateCampaign {
   // Update one device through the full lifecycle under its session
   // mutex: diff -> package -> apply -> build swap -> CFG epoch staging
   // -> (optional) reboot. Never throws on a rejected package -- the
-  // rejection is the outcome.
+  // rejection is the outcome. Throws eilid::FleetError, with nothing
+  // applied, when `session` is not the fleet's registry entry for its
+  // id (a standalone session, or one aliasing a deployed id).
   UpdateOutcome apply_to(DeviceSession& session);
 
   // Roll the campaign out across the whole fleet (deployment order) or
-  // a chosen subset -- serially, or fanned out over a pool with
-  // per-device locking.
-  std::vector<UpdateOutcome> roll_out();
-  std::vector<UpdateOutcome> roll_out(common::ThreadPool& pool);
+  // a chosen subset (input order; an empty subset updates nothing),
+  // applying each device over `pool`; outcomes come back in that
+  // order. Every session is resolved before any is updated, so a null
+  // or foreign session throws eilid::FleetError with nothing applied
+  // anywhere.
   std::vector<UpdateOutcome> roll_out(
-      const std::vector<DeviceSession*>& sessions);
+      common::ThreadPool& pool = common::ThreadPool::serial());
   std::vector<UpdateOutcome> roll_out(
-      const std::vector<DeviceSession*>& sessions, common::ThreadPool& pool);
+      const std::vector<DeviceSession*>& sessions,
+      common::ThreadPool& pool = common::ThreadPool::serial());
 
  private:
   friend class Fleet;
+  friend class HealthMonitor;  // heals slots it has already resolved
   UpdateCampaign(Fleet& fleet, std::shared_ptr<const core::BuildResult> target,
                  CampaignOptions options);
 
@@ -185,12 +190,9 @@ class UpdateCampaign {
     std::shared_ptr<const std::vector<uint8_t>> from_flat;
   };
 
-  // Body of apply_to(); caller holds session.mutex().
-  UpdateOutcome apply_locked(DeviceSession& session);
-  // The one body behind every roll_out overload: apply_to() each
-  // session, serially (null pool) or pooled, outcomes in input order.
-  std::vector<UpdateOutcome> apply_all(
-      const std::vector<DeviceSession*>& sessions, common::ThreadPool* pool);
+  // apply_to() on a device already resolved to its registry entry, so
+  // it takes no registry lock.
+  UpdateOutcome apply(const VerifierService::Target& target);
   // Diff (and expected from-image) for `from` -> target, computed once
   // per distinct from-build and shared across the rollout (a fleet
   // mid-migration has a handful of builds, not a diff per device). The

@@ -242,19 +242,25 @@ TEST(FleetRegistry, RedeployStartsFreshBooks) {
   EXPECT_EQ(verdict, want);
 }
 
-// Only the fleet's own registry entry for an id is attested. A
-// standalone session, and one aliasing a deployed id, is refused by
-// attest, verify_all and stage_cfg_swap before its log is drained, and
-// a refused subset sweep drains none of its members.
+// Only the fleet's own registry entry for an id is attested or
+// updated. A standalone session, and one aliasing a deployed id with
+// the fleet's derived keys, is refused by attest, verify_all, apply_to
+// and roll_out before its log is drained or any package is applied,
+// and a refused subset sweep or rollout touches none of its members.
 TEST(FleetRegistry, ForeignSessionsAreRefused) {
   Fleet fleet;
   auto build = fleet.build(kTinyApp, "tiny", {.eilid = false});
   DeviceSession& deployed =
       fleet.deploy("alias", build, EnforcementPolicy::kCfaBaseline);
   deployed.run_to_symbol("halt", 100000);
+  std::string v2 = kTinyApp;
+  v2.insert(v2.find("mov.b #'x'"), "nop\n    ");
+  UpdateCampaign campaign = fleet.stage_update(v2, "tiny", {.eilid = false});
+  const uint32_t deployed_version = deployed.firmware_version();
 
   SessionOptions options;
   options.attest_key = fleet.device_key("alias");
+  options.update_key = fleet.update_key("alias");
   DeviceSession standalone("standalone", build,
                            EnforcementPolicy::kCfaBaseline, options);
   DeviceSession alias("alias", build, EnforcementPolicy::kCfaBaseline,
@@ -268,14 +274,19 @@ TEST(FleetRegistry, ForeignSessionsAreRefused) {
     EXPECT_THROW(fleet.verifier().verify_all({foreign}), FleetError);
     EXPECT_THROW(fleet.verifier().verify_all({&deployed, foreign}),
                  FleetError);
-    {
-      std::lock_guard<std::mutex> lock(foreign->mutex());
-      EXPECT_THROW(fleet.verifier().stage_cfg_swap(*foreign), FleetError);
-    }
+    const uint32_t version = foreign->firmware_version();
+    EXPECT_THROW(campaign.apply_to(*foreign), FleetError);
+    EXPECT_THROW(campaign.roll_out({foreign}), FleetError);
+    EXPECT_THROW(campaign.roll_out({&deployed, foreign}), FleetError);
+    EXPECT_EQ(foreign->firmware_version(), version);
+    EXPECT_EQ(foreign->shared_build(), build);
     EXPECT_EQ(foreign->cfa_monitor()->log_size(), logged);
   }
 
-  // The deployed device's evidence and books were never touched.
+  // The deployed device's firmware, evidence and books were never
+  // touched.
+  EXPECT_EQ(deployed.firmware_version(), deployed_version);
+  EXPECT_EQ(deployed.shared_build(), build);
   auto verdict = fleet.verifier().attest(deployed);
   EXPECT_TRUE(verdict.ok());
   EXPECT_EQ(verdict.seq, 0u);

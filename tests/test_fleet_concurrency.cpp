@@ -45,20 +45,6 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(kN);
   pool.parallel_for(kN, [&](size_t i) { ++hits[i]; });
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-
-  // for_each_index over the pool is parallel_for ...
-  common::for_each_index(&pool, kN, [&](size_t i) { ++hits[i]; });
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 2) << i;
-  // ... and over a null pool runs every index once, in index order, on
-  // the calling thread.
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<size_t> order;
-  common::for_each_index(nullptr, kN, [&](size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    order.push_back(i);
-  });
-  ASSERT_EQ(order.size(), kN);
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, ParallelForRethrowsFirstError) {
@@ -74,17 +60,62 @@ TEST(ThreadPoolTest, ParallelForRethrowsFirstError) {
   std::atomic<size_t> ran{0};
   pool.parallel_for(64, [&](size_t) { ++ran; });
   EXPECT_EQ(ran.load(), 64u);
+}
 
-  // A null-pool for_each_index propagates the exception, and stops
-  // there: no later index runs.
-  size_t serial_ran = 0;
-  EXPECT_THROW(common::for_each_index(nullptr, 64,
-                                      [&](size_t i) {
-                                        if (i == 7) throw FleetError("boom");
-                                        ++serial_ran;
-                                      }),
+// The serial pool has no workers: every index runs once, in index
+// order, on the calling thread.
+TEST(ThreadPoolTest, SerialPoolRunsInIndexOrderOnCaller) {
+  common::ThreadPool& serial = common::ThreadPool::serial();
+  EXPECT_EQ(serial.worker_count(), 0u);
+  EXPECT_EQ(&serial, &common::ThreadPool::serial());
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  serial.parallel_for(1000, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 1000u);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+// The serial pool stops at the first exception and rethrows it: no
+// later index runs, and the pool stays usable.
+TEST(ThreadPoolTest, SerialPoolStopsAtFirstError) {
+  common::ThreadPool& serial = common::ThreadPool::serial();
+  std::vector<size_t> ran;
+  EXPECT_THROW(serial.parallel_for(64,
+                                   [&](size_t i) {
+                                     if (i == 7) throw FleetError("boom");
+                                     ran.push_back(i);
+                                   }),
                FleetError);
-  EXPECT_EQ(serial_ran, 7u);
+  ASSERT_EQ(ran.size(), 7u);
+  for (size_t i = 0; i < ran.size(); ++i) EXPECT_EQ(ran[i], i);
+  size_t after = 0;
+  serial.parallel_for(64, [&](size_t) { ++after; });
+  EXPECT_EQ(after, 64u);
+}
+
+// One process-wide serial pool, many concurrent callers: each sweep
+// runs on its own thread, in its own index order, sharing nothing.
+TEST(ThreadPoolTest, SerialPoolServesConcurrentCallers) {
+  constexpr size_t kThreads = 8;
+  constexpr size_t kN = 500;
+  std::vector<std::vector<size_t>> orders(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&orders, t] {
+      const std::thread::id self = std::this_thread::get_id();
+      common::ThreadPool::serial().parallel_for(kN, [&](size_t i) {
+        if (std::this_thread::get_id() == self) orders[t].push_back(i);
+      });
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(orders[t].size(), kN) << t;
+    for (size_t i = 0; i < kN; ++i) EXPECT_EQ(orders[t][i], i) << t;
+  }
 }
 
 // ------------------------------------------------- single-flight cache

@@ -15,10 +15,12 @@
 
 #include "apps/apps.h"
 #include "attacks/attack.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "eilid/fleet.h"
 #include "eilid/health.h"
+#include "eilid/incremental.h"
 #include "eilid/rollout.h"
 
 namespace eilid {
@@ -203,6 +205,17 @@ TEST(HeartbeatTest, OfflineDevicesRecordMissesNotVerdicts) {
   EXPECT_FALSE(down.ever_attested);
   // Misses keep the schedule moving: the device is due again at 250.
   EXPECT_EQ(down.next_due, 250u);
+}
+
+// A zero cadence is a configuration error in every fleet-time
+// scheduler, refused at construction rather than silently rounded up.
+TEST(FleetTimeConfig, ZeroPeriodIsRefused) {
+  Fleet fleet;
+  provision_fleet(fleet, 1);
+  EXPECT_THROW(HeartbeatScheduler(fleet, {.period = 0}), FleetError);
+  EXPECT_THROW(HealthMonitor(fleet, {.heartbeat = {.period = 0}}),
+               FleetError);
+  EXPECT_THROW(IncrementalVerifier(fleet, {.period = 0}), FleetError);
 }
 
 TEST(HeartbeatTest, PooledRunBitIdenticalToSerial) {
